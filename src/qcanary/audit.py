@@ -74,8 +74,8 @@ class AuditConfig:
     theory_r: int = 1
 
     def __post_init__(self):
-        if self.n < 1 or self.K < 1:
-            raise ValueError("need n >= 1 and K >= 1")
+        if self.n < 2 or self.K < 1:
+            raise ValueError("need n >= 2 (the confidence bounds) and K >= 1")
         if not 0.0 < self.d <= 1.0:
             raise ValueError(f"adjacency threshold {self.d} not in (0, 1]")
         if not 0.0 < self.beta < 1.0:
@@ -568,10 +568,13 @@ def calibrate_kappa(dataset: Dataset, config: AuditConfig) -> float:
 def _theory_for(config: AuditConfig, mu_est: float | None) -> dict:
     noise = config.noise
     if noise.kind == "depolarizing":
-        eps = theory_epsilon_depolarizing(noise.p, config.d, 2**config.model.qubits)
-        return {"kind": "depolarizing", "epsilon": eps,
-                "params": {"p": noise.p, "d": config.d, "D": 2**config.model.qubits,
-                           "scope": noise.scope}}
+        params = {"p": noise.p, "d": config.d, "D": 2**config.model.qubits,
+                  "scope": noise.scope}
+        if noise.scope == "per_qubit":  # its output floor is (2p/3)^qubits, not p/D
+            return {"kind": "depolarizing", "epsilon": None, "params": params,
+                    "note": "ln(1 + (1-p)dD/p) is proven for the global channel only"}
+        eps = theory_epsilon_depolarizing(noise.p, config.d, params["D"])
+        return {"kind": "depolarizing", "epsilon": eps, "params": params}
     if noise.kind == "measurement_shots":
         params = {"N": noise.shots, "d": config.d, "r": config.theory_r,
                   "mu": mu_est, "mu_floor": MU_FLOOR,
@@ -599,8 +602,6 @@ def audit(config: AuditConfig, dataset: Dataset, workers: int = 1) -> AuditRepor
     The estimator's two bounds consume beta/2 each, so the overall failure
     probability of the reported epsilon_hat stays at beta.
     """
-    if config.n < 2:
-        raise ValueError("the confidence bounds need n >= 2 trials")
     if dataset.feature_count != config.model.qubits:
         raise ValueError(
             f"model has {config.model.qubits} qubits but the dataset has "

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import NoiseSpec, _depolarize_global_mat, _depolarize_qubit_mat
+from .noise import (NoiseSpec, _X, _Y, _Z, _depolarize_global_mat,
+                    _depolarize_qubit_mat, _embed_1q)
 from .states import DensityMatrix, PureState, is_hermitian, pure_to_density
 
 ROTATIONS = ("RX", "RY", "RZ")
@@ -28,9 +29,6 @@ FIXED_1Q = ("H", "X", "Y", "Z", "ID")
 TWO_QUBIT = ("CX", "CZ")
 
 _I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -128,13 +126,6 @@ def rotation_matrix(kind: str, theta: float) -> np.ndarray:
     if kind == "RZ":
         return np.array([[c - 1j * s, 0], [0, c + 1j * s]])
     raise ValueError(f"not a rotation kind: {kind!r}")
-
-
-def _embed_1q(m2: np.ndarray, qubit: int, qubits: int) -> np.ndarray:
-    # qubit 0 is the leftmost (most significant) tensor factor
-    left = np.eye(2**qubit, dtype=complex)
-    right = np.eye(2 ** (qubits - qubit - 1), dtype=complex)
-    return np.kron(np.kron(left, m2), right)
 
 
 def gate_unitary(g: Gate, circuit: ParamCircuit, params: np.ndarray,

@@ -5,14 +5,14 @@ a single observable readout mapped to a class probability p = (1 + <obs>)/2
 and binary cross-entropy loss. Training is full-batch gradient descent on
 exact parameter-shift gradients (or SPSA for the shot-noise regime).
 
-The training loop must be fast: a privacy audit retrains the model
-hundreds of times. The _Engine below therefore simulates all 2P+1
+One engine serves every noise regime. A privacy audit retrains the model
+hundreds of times, so the _Engine below simulates all 2P+1
 parameter-shifted circuit variants in one batched pass, building each
-layer unitary with a broadcast Kronecker product and composing with BLAS
-matmuls. RY and CX matrices are real, so the whole forward pass runs in
-float64 whenever the encoded states are real, which they are for the
-default RY encoding. The circuits module provides the slow reference
-semantics these fast paths are tested against.
+layer unitary with a broadcast Kronecker product. Evaluation walks the
+observable back through the same layers, per-qubit channels included, and
+reads <obs> = psi^T A psi; global noise and shots then act on <obs>. RY
+and CX matrices are real, so all of it runs in float64 for the default RY
+encoding. The circuits module is the reference these paths are tested against.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuits import Observable, z_on_qubit, build_real_amplitudes, with_noise_ids, \
-    apply_circuit_density
-from .noise import NoiseSpec
-from .states import DensityMatrix, PureState, pure_to_density
+from .circuits import Observable, z_on_qubit
+from .circuits import apply_circuit_density  # noqa: F401  (bench traces it as circuits.density)
+from .noise import NoiseSpec, _depolarize_qubit_mat
+from .states import PureState
 
 P_CLAMP = 1e-9
 
@@ -74,7 +74,6 @@ class TrainConfig:
     epochs: int
     learning_rate: float = 0.1
     optimizer: str = "gradient_descent"
-    batch: str = "full"
     seed: int = 0
     under_noise: bool = False
 
@@ -85,8 +84,6 @@ class TrainConfig:
             raise ValueError("learning rate must be positive")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.batch != "full":
-            raise ValueError("only full-batch training is supported")
 
 
 @dataclass(frozen=True)
@@ -129,7 +126,6 @@ class _Engine:
         else:
             self.obs_diag = None
             self.obs_full = np.ascontiguousarray(m)
-        self.obs_trace = float(np.trace(m).real)
 
     def _cx_chain(self) -> np.ndarray:
         """Composed unitary of the linear CX chain, as one real matrix."""
@@ -202,7 +198,7 @@ def _stack_states(states, dim: int) -> np.ndarray:
     for s in states:
         v = s.amps if isinstance(s, PureState) else np.asarray(s)
         if v.shape != (dim,):
-            raise ValueError(f"state dim {v.shape} does not match model dim {dim}")
+            raise ValueError(f"need pure states of dim {dim}, got {type(s).__name__} {v.shape}")
         vecs.append(v)
     block = np.stack(vecs, axis=1)
     if np.iscomplexobj(block) and np.abs(block.imag).max() == 0.0:
@@ -219,10 +215,6 @@ def _noise_scale(spec: ModelSpec) -> tuple:
     scale = (1.0 - spec.noise.p) ** hooks
     obs_trace = float(np.trace(np.asarray(spec.resolved_observable().matrix)).real)
     return scale, (1.0 - scale) * obs_trace / spec.dim
-
-
-def _needs_density_path(spec: ModelSpec) -> bool:
-    return spec.noise.kind == "depolarizing" and spec.noise.scope == "per_qubit"
 
 
 def _probs_from_z(z: np.ndarray) -> np.ndarray:
@@ -251,23 +243,38 @@ def _sample_z(z_exact: np.ndarray, obs: Observable, shots: int,
     return lo + (hi - lo) * counts / shots
 
 
+def _effective_observable(spec: ModelSpec, params: np.ndarray, noisy: bool) -> np.ndarray:
+    """A with <obs> = psi^T A psi: the readout walked back through the ansatz.
+
+    Each layer V maps A to V^T A V, last layer first, and a per-qubit
+    depolarizing channel (a Pauli channel, its own adjoint) acts on A at
+    every hook where it would act on the state.
+    """
+    engine, n, noise = _engine_for(spec), spec.qubits, spec.noise
+    per_qubit = noisy and noise.kind == "depolarizing" and noise.scope == "per_qubit"
+    at_input = range(n) if per_qubit else ()
+    after_layer = at_input if spec.noise_placement == "input_and_layers" else ()
+    A = np.diag(engine.obs_diag) if engine.obs_diag is not None else engine.obs_full
+    for layer in range(spec.ansatz_reps, -1, -1):
+        for q in after_layer:
+            A = _depolarize_qubit_mat(A, q, noise.p)
+        ry = engine._ry_layer(params[None, layer * n:(layer + 1) * n])[0]
+        A = ry.T @ A @ ry
+        if layer:
+            A = engine.chain.T @ A @ engine.chain
+    for q in at_input:
+        A = _depolarize_qubit_mat(A, q, noise.p)
+    if np.iscomplexobj(A) and not A.imag.any():
+        A = A.real
+    return A
+
+
 def _batch_z(spec: ModelSpec, params: np.ndarray, states,
              noisy: bool, rng: np.random.Generator | None) -> np.ndarray:
     """<obs> per state under the model's noise regime (when noisy=True)."""
-    if noisy and _needs_density_path(spec):
-        circ = with_noise_ids(build_real_amplitudes(spec.qubits, spec.ansatz_reps),
-                              spec.noise_placement, spec.noise.scope)
-        obs_m = np.asarray(spec.resolved_observable().matrix)
-        out = []
-        for s in states:
-            rho_in = pure_to_density(s) if isinstance(s, PureState) else s
-            rho = apply_circuit_density(circ, params, rho_in, spec.noise)
-            out.append(float(np.trace(obs_m @ rho.mat).real))
-        return np.asarray(out)
-
-    engine = _engine_for(spec)
     states_T = _stack_states(states, spec.dim)
-    z = engine.forward(params[None, :], states_T)[0]
+    weighted = _effective_observable(spec, params, noisy) @ states_T
+    z = np.einsum("ib,ib->b", states_T.conj(), weighted).real
     if not noisy:
         return z
     scale, offset = _noise_scale(spec)
@@ -283,25 +290,8 @@ def _batch_z(spec: ModelSpec, params: np.ndarray, states,
 # public operations
 
 def predict(model: TrainedModel, state, rng: np.random.Generator | None = None) -> float:
-    """Class-1 probability p = (1 + <obs>) / 2 under the model's noise."""
-    spec = model.spec
-    if isinstance(state, DensityMatrix):
-        circ = with_noise_ids(build_real_amplitudes(spec.qubits, spec.ansatz_reps),
-                              spec.noise_placement, spec.noise.scope,
-                              ) if _needs_density_path(spec) else \
-            build_real_amplitudes(spec.qubits, spec.ansatz_reps)
-        rho = apply_circuit_density(circ, model.params, state, spec.noise)
-        z = float(np.trace(np.asarray(spec.resolved_observable().matrix) @ rho.mat).real)
-        if spec.noise.kind == "depolarizing" and spec.noise.scope == "global":
-            scale, offset = _noise_scale(spec)
-            z = scale * z + offset
-        elif spec.noise.kind == "measurement_shots":
-            if rng is None:
-                raise ValueError("finite-shot evaluation needs an explicit rng")
-            z = float(_sample_z(np.array([z]), spec.resolved_observable(),
-                                spec.noise.shots, rng)[0])
-        return float(np.clip((1.0 + z) / 2.0, 0.0, 1.0))
-    z = float(_batch_z(spec, model.params, [state], noisy=True, rng=rng)[0])
+    """Class-1 probability p = (1 + <obs>) / 2 of a pure state under the model's noise."""
+    z = float(_batch_z(model.spec, model.params, [state], noisy=True, rng=rng)[0])
     return float(np.clip((1.0 + z) / 2.0, 0.0, 1.0))
 
 
@@ -393,7 +383,7 @@ def train(states, labels, spec: ModelSpec, cfg: TrainConfig) -> TrainedModel:
 
     if cfg.under_noise:
         scale, offset = _noise_scale(spec)
-        if _needs_density_path(spec):
+        if spec.noise.kind == "depolarizing" and spec.noise.scope == "per_qubit":
             raise NotImplementedError(
                 "training under per-qubit depolarizing noise is not supported; "
                 "use global scope or evaluate noise at audit time only")

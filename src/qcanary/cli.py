@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config or schema problem, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -229,16 +230,26 @@ def _sanitize(obj):
     return obj
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Temp file + rename; on failure the temp file goes and the error stays."""
+    tmp = f"{path}.tmp-{os.getpid()}"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def emit_json(doc: dict, out_path: str | None) -> None:
     text = json.dumps(_sanitize(doc), indent=2, sort_keys=True,
                       allow_nan=False) + "\n"
     if out_path is None:
         sys.stdout.write(text)
         return
-    tmp = f"{out_path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, out_path)
+    _write_atomic(out_path, text)
 
 
 def _log(message: str) -> None:
@@ -290,10 +301,7 @@ def _write_series(path: str, means_x, means_y) -> None:
     lines = ["trial,mean_seen,mean_unseen"]
     lines += [f"{i},{float(x)!r},{float(y)!r}"
               for i, (x, y) in enumerate(zip(means_x, means_y))]
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def cmd_bounds(args) -> int:

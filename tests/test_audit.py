@@ -331,6 +331,16 @@ def test_audit_measurement_noise_attaches_shot_theory(dataset):
     assert (report.theory["epsilon"] is None) == ("note" in report.theory)
 
 
+def test_per_qubit_noise_reports_no_ceiling(dataset):
+    report = qc.audit(small_config(noise=NoiseSpec.depolarizing(0.05, scope="per_qubit")),
+                      dataset)
+    assert report.theory["kind"] == "depolarizing"
+    assert report.theory["epsilon"] is None
+    assert report.theory["params"]["scope"] == "per_qubit"
+    assert "note" in report.theory
+    assert report.estimate.theory_epsilon is None
+
+
 def test_baseline_uses_single_canary(dataset):
     est = qc.baseline_qdp_audit(small_config(), dataset)
     assert est.epsilon_hat >= 0.0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -67,16 +68,19 @@ def test_mean_loss_gradient_matches_finite_differences(rng):
 
 
 def test_global_noise_scale_matches_density_walk(rng):
-    for placement in ("input", "input_and_layers"):
+    # both scopes: global noise as the (scale, offset) map, per-qubit noise
+    # inside the effective observable
+    for scope, placement in itertools.product(("global", "per_qubit"),
+                                              ("input", "input_and_layers")):
         spec = ModelSpec(qubits=3, ansatz_reps=2,
-                         noise=NoiseSpec.depolarizing(0.13),
+                         noise=NoiseSpec.depolarizing(0.13, scope=scope),
                          noise_placement=placement)
         params = rng.uniform(-1, 1, spec.param_count)
         st = qc.angle_encode(rng.uniform(0, 1, 3))
         model = TrainedModel(spec=spec, params=params, train_log=())
         fast = qc.predict(model, st)
 
-        circ = with_noise_ids(build_real_amplitudes(3, 2), placement, "global")
+        circ = with_noise_ids(build_real_amplitudes(3, 2), placement, scope)
         rho = apply_circuit_density(circ, params, pure_to_density(st), spec.noise)
         z = float(np.trace(np.asarray(spec.resolved_observable().matrix) @ rho.mat).real)
         assert fast == pytest.approx((1 + z) / 2, abs=1e-12)
@@ -190,5 +194,3 @@ def test_spec_validation():
         TrainConfig(epochs=5, learning_rate=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(epochs=5, optimizer="adam")
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=5, batch="minibatch")

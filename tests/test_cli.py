@@ -78,10 +78,11 @@ def test_schema_defaults_match_audit_config():
 
 
 def test_invalid_field_is_config_error():
-    doc = load_config(None)
-    doc["audit.beta"] = 2.0
-    with pytest.raises(ConfigError):
-        build_audit_config(doc)
+    for key, value in (("audit.beta", 2.0), ("audit.n", 1)):
+        doc = load_config(None)
+        doc[key] = value
+        with pytest.raises(ConfigError):
+            build_audit_config(doc)
 
 
 def test_resolve_workers_priority(monkeypatch):
@@ -169,6 +170,17 @@ def test_runtime_error_exits_1_without_output(tmp_path):
     out = str(tmp_path / "never.json")
     assert main(["audit", "--config", cfg, "--out", out]) == 1
     assert not os.path.exists(out)
+
+
+def test_failed_write_exits_1_without_temp_file(tmp_path):
+    # a directory as the target makes the final rename fail
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert main(["bounds", "--d", "0.1", "--p", "0.05", "--out", str(target)]) == 1
+    cfg = write_config(tmp_path)
+    out = str(tmp_path / "r.json")
+    assert main(["audit", "--config", cfg, "--out", out, "--series", str(target)]) == 1
+    assert not list(tmp_path.glob("*.tmp-*"))
 
 
 def test_bounds_command(tmp_path, capsys):
