@@ -457,14 +457,16 @@ def run_trial(trial_index: int, config: AuditConfig, dataset: Dataset,
     The trial's entire randomness derives from (config.seed, trial_index),
     so any execution order or process placement yields the same rows.
     """
-    x_row, y_row, _ = _run_trial(trial_index, config, dataset, kappa)
+    base_states = _encode_base(dataset, config.model.encoding_axis)
+    x_row, y_row, _ = _run_trial(trial_index, config, dataset, kappa, base_states)
     return x_row, y_row
 
 
 def _run_trial(trial_index: int, config: AuditConfig, dataset: Dataset,
-               kappa: float | None):
+               kappa: float | None, base_states: list):
     """run_trial's rows plus the per-canary thresholds, seen then unseen,
-    under the reference rule (None under a global kappa)."""
+    under the reference rule (None under a global kappa). base_states are
+    the dataset's features, encoded once per audit."""
     if kappa is None and config.kappa_rule != "reference":
         kappa = calibrate_kappa(dataset, config)
     K, m, axis = config.K, dataset.feature_count, config.model.encoding_axis
@@ -480,9 +482,8 @@ def _run_trial(trial_index: int, config: AuditConfig, dataset: Dataset,
     worst = max(np.abs(np.sin(train_offsets / 2.0)).max(),
                 np.abs(np.sin(eval_offsets / 2.0)).max())
     if worst > config.d + 1e-12:
-        raise AssertionError(f"canary adjacency violated: {worst} > d = {config.d}")
+        raise ValueError(f"canary adjacency violated: {worst} > d = {config.d}")
 
-    base_states = _encode_base(dataset, axis)
     base_labels = dataset.labels
     seen_feats, seen_labels = feats[:K], labels[:K]
     unseen_feats, unseen_labels = feats[K:], labels[K:]
@@ -522,19 +523,22 @@ def _run_trial(trial_index: int, config: AuditConfig, dataset: Dataset,
             np.concatenate([x_ref, y_ref]))
 
 
-def _calibration(dataset: Dataset, config: AuditConfig):
+def _calibration(dataset: Dataset, config: AuditConfig,
+                 base_states: list | None = None):
     """Reference-model kappa and the smallest outcome probability.
 
-    The reference model trains on the dataset alone; its median loss over
+    The reference model trains on the dataset alone (base_states, its
+    encoded features, encoded here when not given); its median loss over
     fresh canaries becomes the rejection threshold. The same canary pass
     provides mu for the finite-shot bound, floored at MU_FLOOR.
     """
     axis = config.model.encoding_axis
+    if base_states is None:
+        base_states = _encode_base(dataset, axis)
     rng = np.random.default_rng(_kappa_seed_seq(config))
     init_seed = int(rng.integers(2**63))
     tcfg = replace(config.train, seed=init_seed)
-    reference = train(_encode_base(dataset, axis), dataset.labels,
-                      config.model, tcfg)
+    reference = train(base_states, dataset.labels, config.model, tcfg)
 
     feats, labels = generate_canaries(dataset, CALIBRATION_CANARIES, rng)
     spec_off = OffsetSpec(d=config.d, delta_conf=config.delta_conf)
@@ -592,8 +596,8 @@ def _theory_for(config: AuditConfig, mu_est: float | None) -> dict:
 
 
 def _trial_task(args):
-    index, config, dataset, kappa = args
-    return (index, *_run_trial(index, config, dataset, kappa))
+    index, config, dataset, kappa, base_states = args
+    return (index, *_run_trial(index, config, dataset, kappa, base_states))
 
 
 def audit(config: AuditConfig, dataset: Dataset, workers: int = 1) -> AuditReport:
@@ -608,17 +612,18 @@ def audit(config: AuditConfig, dataset: Dataset, workers: int = 1) -> AuditRepor
             f"{dataset.feature_count} features")
 
     t0 = time.perf_counter()
+    base_states = _encode_base(dataset, config.model.encoding_axis)
     kappa = mu_est = None
     # the finite-shot bound needs mu whatever the recognition rule
     if config.kappa_rule == "calibrated_median" or config.noise.kind == "measurement_shots":
-        kappa, mu_est = _calibration(dataset, config)
+        kappa, mu_est = _calibration(dataset, config, base_states)
     if config.kappa_rule == "fixed":
         kappa = float(config.kappa_value)
     elif config.kappa_rule == "reference":
         kappa = None
     t1 = time.perf_counter()
 
-    tasks = [(i, config, dataset, kappa) for i in range(config.n)]
+    tasks = [(i, config, dataset, kappa, base_states) for i in range(config.n)]
     if workers > 1:
         rows: list = [None] * config.n
         with ProcessPoolExecutor(max_workers=workers) as pool:

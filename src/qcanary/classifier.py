@@ -3,21 +3,22 @@
 A model is a RealAmplitudes-style ansatz over encoded product states with
 a single observable readout mapped to a class probability p = (1 + <obs>)/2
 and binary cross-entropy loss. Training is full-batch gradient descent on
-exact parameter-shift gradients (or SPSA for the shot-noise regime).
+exact adjoint gradients (or SPSA for the shot-noise regime).
 
-One engine serves every noise regime. A privacy audit retrains the model
-hundreds of times, so the _Engine below simulates all 2P+1
-parameter-shifted circuit variants in one batched pass, building each
-layer unitary with a broadcast Kronecker product. Evaluation walks the
-observable back through the same layers, per-qubit channels included, and
-reads <obs> = psi^T A psi; global noise and shots then act on <obs>. RY
-and CX matrices are real, so all of it runs in float64 for the default RY
-encoding. The circuits module is the reference these paths are tested against.
+One engine serves every path. A privacy audit retrains the model hundreds
+of times, so the _Engine below builds all layer unitaries of a parameter
+vector with one broadcast Kronecker product and walks the observable back
+through them, per-qubit channels included, to the effective observable A
+with <obs> = psi^dagger A psi. Evaluation reads every state through A;
+global noise and shots then act on <obs>. A gradient step reuses the
+observables of that walk and adds one walk forward from the data, so its
+cost does not grow with the parameter count. RY and CX matrices are real,
+so all of it runs in float64 for the default RY encoding. The circuits
+module is the reference these paths are tested against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -100,32 +101,31 @@ class TrainedModel:
 
 
 # ---------------------------------------------------------------------------
-# batched simulation engine
+# simulation engine
 
 class _Engine:
-    """Simulates S parameter vectors against B input states at once.
+    """The ansatz as raw arrays: RY layers, the CX chain and the readout.
 
-    Works on raw arrays in the float64 domain (complex128 only when the
-    inputs force it). Layout: thetas is (S, P), states_T is (dim, B),
-    forward returns <obs> as (S, B).
+    Everything stays float64 for the default RY encoding and Z readout;
+    complex128 appears only when the observable or the inputs force it.
     """
 
     def __init__(self, qubits: int, reps: int, obs: Observable | None = None):
         self.n = qubits
         self.reps = reps
         self.dim = 2**qubits
-        self.P = (reps + 1) * qubits
         self.chain = self._cx_chain()
         if obs is None:
             obs = z_on_qubit(qubits)
         m = np.asarray(obs.matrix)
-        offdiag = np.abs(m - np.diag(np.diag(m))).max() if m.size > 1 else 0.0
-        if offdiag == 0.0 and np.abs(m.imag).max() == 0.0:
-            self.obs_diag = np.ascontiguousarray(np.diag(m).real)
-            self.obs_full = None
-        else:
-            self.obs_diag = None
-            self.obs_full = np.ascontiguousarray(m)
+        self.obs = np.ascontiguousarray(m if m.imag.any() else m.real)
+        # the RY generator on qubit q, G_q = -iY_q/2, pairs index j with
+        # j ^ mask_q, with entry -1/2 where bit q of j is 0 and +1/2 where 1
+        idx = np.arange(self.dim)
+        masks = 1 << (qubits - 1 - np.arange(qubits))[:, None]
+        self.cols = idx
+        self.flip = idx ^ masks
+        self.sign = np.where(idx & masks, 1.0, -1.0)
 
     def _cx_chain(self) -> np.ndarray:
         """Composed unitary of the linear CX chain, as one real matrix."""
@@ -145,39 +145,54 @@ class _Engine:
         c = np.cos(angles / 2.0)
         s = np.sin(angles / 2.0)
         S = angles.shape[0]
-        out = np.empty((S, 2, 2))
-        out[:, 0, 0] = c[:, 0]
-        out[:, 0, 1] = -s[:, 0]
-        out[:, 1, 0] = s[:, 0]
-        out[:, 1, 1] = c[:, 0]
+        blocks = np.empty((S, self.n, 2, 2))
+        blocks[..., 0, 0] = c
+        blocks[..., 0, 1] = -s
+        blocks[..., 1, 0] = s
+        blocks[..., 1, 1] = c
+        out = blocks[:, 0]
         for q in range(1, self.n):
-            m = np.empty((S, 2, 2))
-            m[:, 0, 0] = c[:, q]
-            m[:, 0, 1] = -s[:, q]
-            m[:, 1, 0] = s[:, q]
-            m[:, 1, 1] = c[:, q]
             d = out.shape[1]
-            out = (out[:, :, None, :, None] * m[:, None, :, None, :]).reshape(S, 2 * d, 2 * d)
+            out = (out[:, :, None, :, None]
+                   * blocks[:, q, None, :, None, :]).reshape(S, 2 * d, 2 * d)
         return out
 
-    def unitaries(self, thetas: np.ndarray) -> np.ndarray:
-        n = self.n
-        U = self._ry_layer(thetas[:, :n])
-        for layer in range(1, self.reps + 1):
-            U = self.chain @ U
-            U = self._ry_layer(thetas[:, layer * n:(layer + 1) * n]) @ U
-        return U
+    def layers(self, theta: np.ndarray) -> np.ndarray:
+        """The reps + 1 layer unitaries of one parameter vector: the first
+        RY layer, then each later RY layer times the CX chain before it."""
+        layers = self._ry_layer(np.reshape(theta, (self.reps + 1, self.n)))
+        layers[1:] = layers[1:] @ self.chain
+        return layers
 
-    def forward(self, thetas: np.ndarray, states_T: np.ndarray) -> np.ndarray:
-        """<obs> for every (parameter vector, input state) combination."""
-        phi = self.unitaries(thetas) @ states_T
-        if self.obs_diag is not None:
-            weighted = self.obs_diag[:, None] * phi
-        else:
-            weighted = np.matmul(self.obs_full, phi)
-        if np.iscomplexobj(phi):
-            return np.einsum("sib,sib->sb", phi.conj(), weighted).real
-        return np.einsum("sib,sib->sb", phi, weighted)
+    def walk_back(self, layers: np.ndarray, per_qubit_p: float | None = None,
+                  after_layers: bool = False):
+        """The readout walked back through the ansatz, last layer first.
+
+        Returns (after, A): after[l] is the observable the state sees just
+        after layer l, and A the one the input state sees, so that
+        <obs> = psi^dagger A psi. Each layer V (real, so V^dagger = V^T)
+        maps A to V^T A V. With per_qubit_p, a per-qubit depolarizing
+        channel (a Pauli channel, its own adjoint) acts on A at the input
+        and, with after_layers, after every RY layer, wherever it would
+        act on the state.
+        """
+        at_input = range(self.n) if per_qubit_p is not None else ()
+        after_layer = at_input if after_layers else ()
+        after = [None] * len(layers)
+        A = self.obs
+        for layer in range(len(layers) - 1, -1, -1):
+            for q in after_layer:
+                A = _depolarize_qubit_mat(A, q, per_qubit_p)
+            after[layer] = A
+            A = layers[layer].T @ A @ layers[layer]
+        for q in at_input:
+            A = _depolarize_qubit_mat(A, q, per_qubit_p)
+        return after, A
+
+    def generator_traces(self, M: np.ndarray) -> np.ndarray:
+        """2 Re tr(G_q M_l) for every layer l and qubit q, in slot order,
+        as a signed gather over the (layers, dim, dim) stack M."""
+        return (self.sign * M[:, self.flip, self.cols]).sum(axis=-1).real.ravel()
 
 
 _engine_cache: dict = {}
@@ -244,37 +259,25 @@ def _sample_z(z_exact: np.ndarray, obs: Observable, shots: int,
 
 
 def _effective_observable(spec: ModelSpec, params: np.ndarray, noisy: bool) -> np.ndarray:
-    """A with <obs> = psi^T A psi: the readout walked back through the ansatz.
-
-    Each layer V maps A to V^T A V, last layer first, and a per-qubit
-    depolarizing channel (a Pauli channel, its own adjoint) acts on A at
-    every hook where it would act on the state.
-    """
-    engine, n, noise = _engine_for(spec), spec.qubits, spec.noise
+    """A with <obs> = psi^dagger A psi, per-qubit channels included when noisy."""
+    engine, noise = _engine_for(spec), spec.noise
     per_qubit = noisy and noise.kind == "depolarizing" and noise.scope == "per_qubit"
-    at_input = range(n) if per_qubit else ()
-    after_layer = at_input if spec.noise_placement == "input_and_layers" else ()
-    A = np.diag(engine.obs_diag) if engine.obs_diag is not None else engine.obs_full
-    for layer in range(spec.ansatz_reps, -1, -1):
-        for q in after_layer:
-            A = _depolarize_qubit_mat(A, q, noise.p)
-        ry = engine._ry_layer(params[None, layer * n:(layer + 1) * n])[0]
-        A = ry.T @ A @ ry
-        if layer:
-            A = engine.chain.T @ A @ engine.chain
-    for q in at_input:
-        A = _depolarize_qubit_mat(A, q, noise.p)
+    _, A = engine.walk_back(engine.layers(params), noise.p if per_qubit else None,
+                            spec.noise_placement == "input_and_layers")
     if np.iscomplexobj(A) and not A.imag.any():
         A = A.real
     return A
 
 
+def _read_z(A: np.ndarray, states_T: np.ndarray) -> np.ndarray:
+    """z_b = psi_b^dagger A psi_b for every column psi_b of states_T."""
+    return np.einsum("ib,ib->b", states_T.conj(), A @ states_T).real
+
+
 def _batch_z(spec: ModelSpec, params: np.ndarray, states,
              noisy: bool, rng: np.random.Generator | None) -> np.ndarray:
     """<obs> per state under the model's noise regime (when noisy=True)."""
-    states_T = _stack_states(states, spec.dim)
-    weighted = _effective_observable(spec, params, noisy) @ states_T
-    z = np.einsum("ib,ib->b", states_T.conj(), weighted).real
+    z = _read_z(_effective_observable(spec, params, noisy), _stack_states(states, spec.dim))
     if not noisy:
         return z
     scale, offset = _noise_scale(spec)
@@ -325,10 +328,10 @@ def mean_loss(spec: ModelSpec, params: np.ndarray, states, labels) -> float:
 
 
 def loss_gradient(spec: ModelSpec, params: np.ndarray, states, labels) -> np.ndarray:
-    """Gradient of mean_loss via parameter shift and the chain rule.
+    """Exact gradient of mean_loss, by the adjoint method and the chain rule.
 
-    All 2P+1 shifted parameter vectors go through the engine in a single
-    batched forward pass.
+    One walk back from the readout and one walk forward from the data,
+    whatever the parameter count (see _gd_step_values).
     """
     params = np.asarray(params, dtype=float)
     labels = np.asarray(labels, dtype=float).ravel()
@@ -340,23 +343,30 @@ def loss_gradient(spec: ModelSpec, params: np.ndarray, states, labels) -> np.nda
 
 def _gd_step_values(engine: _Engine, theta: np.ndarray, states_T: np.ndarray,
                     labels: np.ndarray, scale: float, offset: float):
-    """One epoch's (mean loss, gradient) at theta.
+    """One epoch's (mean loss, gradient) at theta, by the adjoint method.
 
-    Rows of the shifted-parameter block: row 0 is theta itself, rows
-    1+2j / 2+2j are theta with slot j shifted by +pi/2 / -pi/2. The loss
-    is evaluated under the (scale, offset) noise map; the circuit
-    derivative d<obs>/dtheta stays noiseless by contract.
+    The loss is evaluated under the (scale, offset) noise map; the circuit
+    derivative dz/dtheta stays noiseless by contract, so the gradient is
+    0.5 * mean_b(dL/dp_b * dz_b/dtheta) (Jones & Gacon, arXiv:2009.02823).
+
+    The walk back from the readout gives A_l, the observable seen just
+    after RY layer l, and z_b = psi_b^dagger A psi_b. The data then enter
+    only through C = sum_b w_b psi_b psi_b^dagger, w_b = 0.5 dL/dp_b / B,
+    which the walk forward turns into S_l, the weighted states just after
+    layer l. The RY on qubit q in layer l has derivative G_q RY, with
+    G_q = -iY_q/2, so that slot's entry is 2 Re tr(A_l G_q S_l).
     """
-    P = engine.P
-    thetas = np.tile(theta, (2 * P + 1, 1))
-    j = np.arange(P)
-    thetas[1 + 2 * j, j] += math.pi / 2.0
-    thetas[2 + 2 * j, j] -= math.pi / 2.0
-    z = engine.forward(thetas, states_T)
-    dz = 0.5 * (z[1::2] - z[2::2])
-    p = _probs_from_z(scale * z[0] + offset)
+    layers = engine.layers(theta)
+    after, A = engine.walk_back(layers)
+    p = _probs_from_z(scale * _read_z(A, states_T) + offset)
     dldp = -labels / p + (1.0 - labels) / (1.0 - p)
-    grad = 0.5 * (dz * dldp[None, :]).mean(axis=1)
+    S = (states_T * (0.5 * dldp / labels.size)) @ states_T.conj().T
+    # tr(A G S) = tr(G M) with M = S A
+    M = np.empty(layers.shape, dtype=np.result_type(S, A))
+    for layer, V in enumerate(layers):
+        S = V @ S @ V.T
+        np.matmul(S, after[layer], out=M[layer])
+    grad = engine.generator_traces(M)
     return float(_bce(p, labels).mean()), grad
 
 
@@ -400,8 +410,7 @@ def train(states, labels, spec: ModelSpec, cfg: TrainConfig) -> TrainedModel:
         shots = spec.train_shots
 
         def spsa_loss(t: np.ndarray) -> float:
-            z = engine.forward(t[None, :], states_T)[0]
-            z = scale * z + offset
+            z = scale * _read_z(_effective_observable(spec, t, noisy=False), states_T) + offset
             if shots:
                 z = _sample_z(z, spec.resolved_observable(), shots, rng)
             return float(_bce(_probs_from_z(z), labels).mean())

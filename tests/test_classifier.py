@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ import pytest
 import qcanary as qc
 from qcanary import ModelSpec, NoiseSpec, TrainConfig, TrainedModel
 from qcanary.classifier import loss_gradient, mean_loss
-from qcanary.circuits import apply_circuit_density, build_real_amplitudes, with_noise_ids
+from qcanary.circuits import (Observable, apply_circuit_density, build_real_amplitudes,
+                              expectation, parameter_shift_gradient, with_noise_ids)
+from qcanary.noise import _Y, _embed_1q
 from qcanary.states import pure_to_density
 
 
@@ -65,6 +68,68 @@ def test_mean_loss_gradient_matches_finite_differences(rng):
         fd = (mean_loss(spec, up, states, labels)
               - mean_loss(spec, down, states, labels)) / (2 * h)
         assert grad[j] == pytest.approx(fd, abs=1e-5)
+
+
+def _reference_z_and_dz(spec: ModelSpec, params, states):
+    """Noiseless <obs> and its parameter-shift gradient, one circuit per state."""
+    circuit = build_real_amplitudes(spec.qubits, spec.ansatz_reps)
+    obs = spec.resolved_observable()
+    z = np.array([expectation(apply_circuit_density(circuit, params, pure_to_density(st),
+                                                    NoiseSpec.none()), obs)
+                  for st in states])
+    dz = np.array([parameter_shift_gradient(circuit, params, st, obs) for st in states])
+    return z, dz
+
+
+def _chain_rule_gradient(z, dz, labels, scale=1.0, offset=0.0):
+    """0.5 mean_b(dL/dp_b dz_b): the loss read through the (scale, offset)
+    noise map, the circuit derivative noiseless."""
+    p = np.clip((1.0 + scale * z + offset) / 2.0, 1e-9, 1.0 - 1e-9)
+    dldp = -labels / p + (1.0 - labels) / (1.0 - p)
+    loss = -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
+    return loss.mean(), 0.5 * (dz * dldp[:, None]).mean(axis=0)
+
+
+def test_loss_gradient_matches_parameter_shift_reference(rng):
+    # one qubit has no CX chain; RX inputs and the Y readout are complex.
+    # Features stay inside (0.2, 0.8) so no prediction sits at the clamp,
+    # where dL/dp ~ 1/p would magnify rounding in both computations
+    for qubits, reps, axis, readout in itertools.product(
+            (1, 2, 3), (1, 2), ("RY", "RX"), ("Z", "Y")):
+        obs = None if readout == "Z" else Observable(_embed_1q(_Y, qubits - 1, qubits))
+        spec = ModelSpec(qubits=qubits, ansatz_reps=reps, encoding_axis=axis,
+                         observable=obs)
+        states = [qc.angle_encode(rng.uniform(0.2, 0.8, qubits), axis) for _ in range(5)]
+        labels = rng.integers(0, 2, 5).astype(float)
+        params = rng.uniform(-1, 1, spec.param_count)
+        z, dz = _reference_z_and_dz(spec, params, states)
+        _, want = _chain_rule_gradient(z, dz, labels)
+        got = loss_gradient(spec, params, states, labels)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
+                                   err_msg=f"{qubits} qubits, {reps} reps, {axis}, {readout}")
+
+
+def test_training_under_global_noise_matches_parameter_shift_loop(rng):
+    ds = qc.synth_gaussians(2, 6, 3.0, rng)
+    states = [qc.angle_encode(x) for x in ds.features]
+    labels = ds.labels.astype(float)
+    spec = ModelSpec(qubits=2, ansatz_reps=1, noise=NoiseSpec.depolarizing(0.2),
+                     noise_placement="input_and_layers")
+    cfg = TrainConfig(epochs=10, learning_rate=0.3, seed=3, under_noise=True)
+    model = qc.train(states, labels, spec, cfg)
+
+    # a global channel at the input and after both RY layers scales <Z> by
+    # (1 - p)^3; Z is traceless, so the offset is 0
+    scale = 0.8**3
+    theta = np.random.default_rng(cfg.seed).uniform(-0.1, 0.1, spec.param_count)
+    log = []
+    for _ in range(cfg.epochs):
+        z, dz = _reference_z_and_dz(spec, theta, states)
+        loss, grad = _chain_rule_gradient(z, dz, labels, scale)
+        log.append(loss)
+        theta = theta - cfg.learning_rate * grad
+    np.testing.assert_allclose(model.params, theta, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(model.train_log, log, rtol=0, atol=1e-12)
 
 
 def test_global_noise_scale_matches_density_walk(rng):
@@ -148,6 +213,13 @@ def test_spsa_training_runs(rng):
     model = qc.train(states, ds.labels, spec, cfg)
     assert len(model.train_log) == 60
     assert model.train_log[-1] < model.train_log[0]
+    # deterministic for a fixed seed, with exact and with sampled readout
+    for s in (spec, replace(spec, train_shots=50)):
+        m1, m2 = (qc.train(states, ds.labels, s, cfg) for _ in range(2))
+        assert np.array_equal(m1.params, m2.params)
+        assert np.array_equal(m1.train_log, m2.train_log)
+        assert not np.array_equal(m1.params, qc.train(states, ds.labels, s,
+                                                      replace(cfg, seed=3)).params)
 
 
 def test_under_noise_training_uses_noisy_forward(rng):

@@ -1,11 +1,12 @@
 import dataclasses
+import importlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from qcanary import AuditConfig
+from qcanary import AuditConfig, load_iris_binary, run_trial
 from qcanary.cli import (CONFIG_SCHEMA, ConfigError, build_audit_config,
                          load_config, main, resolve_workers)
 
@@ -167,6 +168,20 @@ def test_config_error_exits_2_without_output(tmp_path):
 def test_runtime_error_exits_1_without_output(tmp_path):
     cfg = write_config(tmp_path, {"dataset.source": "csv",
                                   "dataset.csv_path": str(tmp_path / "missing.csv")})
+    out = str(tmp_path / "never.json")
+    assert main(["audit", "--config", cfg, "--out", out]) == 1
+    assert not os.path.exists(out)
+
+
+def test_adjacency_violation_exits_1(tmp_path, monkeypatch):
+    # offsets of 3 rad put |sin(alpha/2)| near 1, far beyond any d <= 0.1
+    audit_module = importlib.import_module("qcanary.audit")
+    monkeypatch.setattr(audit_module, "sample_offsets",
+                        lambda spec, m, rng: np.full(m, 3.0))
+    config = build_audit_config(load_config(None))
+    with pytest.raises(ValueError, match="adjacency"):
+        run_trial(0, config, load_iris_binary())
+    cfg = write_config(tmp_path)
     out = str(tmp_path / "never.json")
     assert main(["audit", "--config", cfg, "--out", out]) == 1
     assert not os.path.exists(out)
