@@ -8,7 +8,7 @@ finite-shot noise.
 """
 
 from .audit import (AuditConfig, AuditReport, DomainError, EpsilonEstimate,
-                    TrialMatrix, audit, baseline_qdp_audit, betting_lower,
+                    TrialMatrix, audit, betting_lower,
                     betting_upper, bound_lower, bound_upper, calibrate_kappa,
                     epsilon_hat, estimate_epsilon, generate_canaries,
                     run_trial, sample_complexity_estimate,
@@ -17,42 +17,41 @@ from .audit import (AuditConfig, AuditReport, DomainError, EpsilonEstimate,
 from .circuits import (Gate, Observable, ParamCircuit, apply_circuit_density,
                        apply_circuit_pure, build_real_amplitudes,
                        expectation, gate_unitary, parameter_shift_gradient,
-                       rotation_matrix, sample_counts, with_noise_ids,
-                       z_on_qubit)
+                       rotation_matrix, with_noise_ids, z_on_qubit)
 from .classifier import (ModelSpec, TrainConfig, TrainedModel, eval_model,
                          evaluate_losses, loss, loss_gradient, mean_loss,
                          predict, train)
 from .data import Dataset, load_csv, load_iris_binary, synth_gaussians
-from .encoding import (CanaryPair, OffsetSpec, angle_encode,
-                       angle_encode_offset, gamma_bound, make_canary_pair,
-                       pair_distances, sample_offsets, sigma_bound)
+from .encoding import (OffsetSpec, angle_encode, angle_encode_offset,
+                       gamma_bound, pair_distances, sample_offsets,
+                       sigma_bound)
 from .noise import NoiseSpec, depolarize_global, depolarize_qubit
-from .states import (DensityMatrix, Povm, PureState, density, fidelity_pure,
-                     hermitian_eigenvalues, pure, pure_to_density,
-                     pure_trace_distance, tensor_product, trace_distance)
+from .states import (DensityMatrix, PureState, density, hermitian_eigenvalues,
+                     pure, pure_to_density, pure_trace_distance,
+                     trace_distance)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditConfig", "AuditReport", "CanaryPair", "Dataset", "DensityMatrix",
+    "AuditConfig", "AuditReport", "Dataset", "DensityMatrix",
     "DomainError", "EpsilonEstimate", "Gate", "ModelSpec", "NoiseSpec",
-    "Observable", "OffsetSpec", "ParamCircuit", "Povm", "PureState",
+    "Observable", "OffsetSpec", "ParamCircuit", "PureState",
     "TrainConfig", "TrainedModel", "TrialMatrix", "angle_encode",
     "angle_encode_offset", "apply_circuit_density", "apply_circuit_pure",
-    "audit", "baseline_qdp_audit", "betting_lower", "betting_upper",
+    "audit", "betting_lower", "betting_upper",
     "bound_lower", "bound_upper",
     "build_real_amplitudes", "calibrate_kappa", "density",
     "depolarize_global", "depolarize_qubit", "epsilon_hat",
     "estimate_epsilon", "eval_model",
-    "evaluate_losses", "expectation", "fidelity_pure", "gamma_bound",
+    "evaluate_losses", "expectation", "gamma_bound",
     "gate_unitary", "generate_canaries", "hermitian_eigenvalues",
     "load_csv", "load_iris_binary", "loss", "loss_gradient",
-    "make_canary_pair", "mean_loss", "pair_distances",
+    "mean_loss", "pair_distances",
     "parameter_shift_gradient", "predict", "pure", "pure_to_density",
     "pure_trace_distance", "rotation_matrix", "run_trial",
-    "sample_complexity_estimate", "sample_counts", "sample_offsets",
+    "sample_complexity_estimate", "sample_offsets",
     "sigma_bound", "simulate_known_mechanism", "synth_gaussians",
-    "tensor_product", "theory_epsilon_depolarizing",
+    "theory_epsilon_depolarizing",
     "theory_epsilon_measurement", "trace_distance", "train",
     "trials_to_target", "with_noise_ids", "z_on_qubit",
 ]

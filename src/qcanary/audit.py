@@ -80,6 +80,12 @@ class AuditConfig:
             raise ValueError(f"adjacency threshold {self.d} not in (0, 1]")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"failure probability {self.beta} not in (0, 1)")
+        if not 0.0 < self.delta_conf < 1.0:
+            raise ValueError(f"offset tail probability {self.delta_conf} not in (0, 1)")
+        if not 0.0 < self.theory_delta < 1.0:
+            raise ValueError(f"theory_delta {self.theory_delta} not in (0, 1)")
+        if self.theory_r < 0:
+            raise ValueError(f"projector rank {self.theory_r} must be nonnegative")
         if self.delta is not None and not 0.0 <= self.delta < 1.0:
             raise ValueError(f"delta {self.delta} not in [0, 1)")
         if self.kappa_rule not in KAPPA_RULES:
@@ -529,8 +535,9 @@ def _calibration(dataset: Dataset, config: AuditConfig,
 
     The reference model trains on the dataset alone (base_states, its
     encoded features, encoded here when not given); its median loss over
-    fresh canaries becomes the rejection threshold. The same canary pass
-    provides mu for the finite-shot bound, floored at MU_FLOOR.
+    fresh canaries becomes the rejection threshold. The same canaries,
+    read without noise whatever regime the model trained under, provide
+    mu for the finite-shot bound, floored at MU_FLOOR.
     """
     axis = config.model.encoding_axis
     if base_states is None:
@@ -551,7 +558,7 @@ def _calibration(dataset: Dataset, config: AuditConfig,
     losses = evaluate_losses(eval_model(reference, config.noise), states, labels, rng)
     kappa = float(np.median(losses))
 
-    clean = evaluate_losses(reference, states, labels)
+    clean = evaluate_losses(eval_model(reference, NoiseSpec.none()), states, labels)
     probs = np.exp(-clean)  # loss = -ln(p of the labeled outcome)
     mu = float(min(np.min(probs), np.min(1.0 - probs)))
     return kappa, max(mu, MU_FLOOR)
@@ -657,16 +664,6 @@ def audit(config: AuditConfig, dataset: Dataset, workers: int = 1) -> AuditRepor
         trials=TrialMatrix(x=x, y=y),
         trial_means_x=x.mean(axis=1), trial_means_y=y.mean(axis=1),
         seeds=seeds, theory=theory, timings=timings)
-
-
-def baseline_qdp_audit(config: AuditConfig, dataset: Dataset,
-                       workers: int = 1) -> EpsilonEstimate:
-    """The single-canary audit: K forced to 1, everything else unchanged.
-
-    Each trial then carries one hypothesis test, which is the classical
-    one-record-per-run regime the lifted construction improves on.
-    """
-    return audit(replace(config, K=1), dataset, workers=workers).estimate
 
 
 # ---------------------------------------------------------------------------

@@ -250,27 +250,6 @@ def expectation(rho: DensityMatrix, obs: Observable) -> float:
     return float(val.real)
 
 
-def sample_counts(rho: DensityMatrix, povm, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Multinomial outcome counts for a POVM measurement.
-
-    Outcome probabilities Tr(M_i rho) are clamped to [0, 1] and
-    renormalized before drawing, which absorbs numerical dust on the
-    boundary. Deterministic for a given generator state.
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    povm.check()
-    probs = np.array([
-        float(np.trace(np.asarray(m, dtype=complex) @ np.asarray(rho.mat)).real)
-        for m in povm.operators
-    ])
-    probs = np.clip(probs, 0.0, 1.0)
-    total = probs.sum()
-    if total <= 0.0:
-        raise ValueError("POVM probabilities sum to zero on this state")
-    return rng.multinomial(shots, probs / total)
-
-
 def parameter_shift_gradient(circuit: ParamCircuit, params, state,
                              obs: Observable) -> np.ndarray:
     """Exact gradient of Tr(obs U rho U') over the parameter vector.

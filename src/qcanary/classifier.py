@@ -1,20 +1,21 @@
 """The variational classifier: encode, rotate, entangle, measure, read out.
 
 A model is a RealAmplitudes-style ansatz over encoded product states with
-a single observable readout mapped to a class probability p = (1 + <obs>)/2
-and binary cross-entropy loss. Training is full-batch gradient descent on
-exact adjoint gradients (or SPSA for the shot-noise regime).
+a fixed readout, <Z> on qubit 0, mapped to a class probability
+p = (1 + <Z>)/2 and binary cross-entropy loss. Training is full-batch
+gradient descent on exact adjoint gradients (or SPSA for the shot-noise
+regime).
 
 One engine serves every path. A privacy audit retrains the model hundreds
 of times, so the _Engine below builds all layer unitaries of a parameter
 vector with one broadcast Kronecker product and walks the observable back
 through them, per-qubit channels included, to the effective observable A
-with <obs> = psi^dagger A psi. Evaluation reads every state through A;
-global noise and shots then act on <obs>. A gradient step reuses the
+with <Z> = psi^dagger A psi. Evaluation reads every state through A;
+global noise and shots then act on <Z>. A gradient step reuses the
 observables of that walk and adds one walk forward from the data, so its
-cost does not grow with the parameter count. RY and CX matrices are real,
-so all of it runs in float64 for the default RY encoding. The circuits
-module is the reference these paths are tested against.
+cost does not grow with the parameter count. RY, CX and Z are real, so
+all of it runs in float64; complex values come only from RX inputs. The
+circuits module is the reference these paths are tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuits import Observable, z_on_qubit
+from .circuits import z_on_qubit
 from .circuits import apply_circuit_density  # noqa: F401  (bench traces it as circuits.density)
 from .noise import NoiseSpec, _depolarize_qubit_mat
 from .states import PureState
@@ -36,7 +37,8 @@ PLACEMENTS = ("input", "input_and_layers")
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture plus the noise regime the model is evaluated under."""
+    """Architecture plus the noise regime the model trains and is evaluated
+    under; eval_model swaps in another regime for evaluation."""
 
     qubits: int
     ansatz_reps: int = 3
@@ -44,7 +46,6 @@ class ModelSpec:
     noise: NoiseSpec = field(default_factory=NoiseSpec.none)
     noise_placement: str = "input"
     train_shots: int | None = None
-    observable: Observable | None = None
 
     def __post_init__(self):
         if self.qubits < 1 or self.ansatz_reps < 1:
@@ -53,10 +54,6 @@ class ModelSpec:
             raise ValueError(f"unsupported encoding axis {self.encoding_axis!r}")
         if self.noise_placement not in PLACEMENTS:
             raise ValueError(f"unknown noise placement {self.noise_placement!r}")
-        if self.observable is not None:
-            self.observable.check()
-            if self.observable.dim != 2**self.qubits:
-                raise ValueError("observable dimension does not match qubit count")
 
     @property
     def param_count(self) -> int:
@@ -66,9 +63,6 @@ class ModelSpec:
     def dim(self) -> int:
         return 2**self.qubits
 
-    def resolved_observable(self) -> Observable:
-        return self.observable if self.observable is not None else z_on_qubit(self.qubits)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -76,7 +70,6 @@ class TrainConfig:
     learning_rate: float = 0.1
     optimizer: str = "gradient_descent"
     seed: int = 0
-    under_noise: bool = False
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -104,21 +97,18 @@ class TrainedModel:
 # simulation engine
 
 class _Engine:
-    """The ansatz as raw arrays: RY layers, the CX chain and the readout.
+    """The ansatz as raw arrays: RY layers, the CX chain and the Z readout.
 
-    Everything stays float64 for the default RY encoding and Z readout;
-    complex128 appears only when the observable or the inputs force it.
+    Everything stays float64; complex128 appears only when RX-encoded
+    inputs force it.
     """
 
-    def __init__(self, qubits: int, reps: int, obs: Observable | None = None):
+    def __init__(self, qubits: int, reps: int):
         self.n = qubits
         self.reps = reps
         self.dim = 2**qubits
         self.chain = self._cx_chain()
-        if obs is None:
-            obs = z_on_qubit(qubits)
-        m = np.asarray(obs.matrix)
-        self.obs = np.ascontiguousarray(m if m.imag.any() else m.real)
+        self.obs = np.ascontiguousarray(z_on_qubit(qubits).matrix.real)
         # the RY generator on qubit q, G_q = -iY_q/2, pairs index j with
         # j ^ mask_q, with entry -1/2 where bit q of j is 0 and +1/2 where 1
         idx = np.arange(self.dim)
@@ -170,7 +160,7 @@ class _Engine:
 
         Returns (after, A): after[l] is the observable the state sees just
         after layer l, and A the one the input state sees, so that
-        <obs> = psi^dagger A psi. Each layer V (real, so V^dagger = V^T)
+        <Z> = psi^dagger A psi. Each layer V (real, so V^dagger = V^T)
         maps A to V^T A V. With per_qubit_p, a per-qubit depolarizing
         channel (a Pauli channel, its own adjoint) acts on A at the input
         and, with after_layers, after every RY layer, wherever it would
@@ -199,12 +189,10 @@ _engine_cache: dict = {}
 
 
 def _engine_for(spec: ModelSpec) -> _Engine:
-    if spec.observable is None:
-        key = (spec.qubits, spec.ansatz_reps)
-        if key not in _engine_cache:
-            _engine_cache[key] = _Engine(spec.qubits, spec.ansatz_reps)
-        return _engine_cache[key]
-    return _Engine(spec.qubits, spec.ansatz_reps, spec.observable)
+    key = (spec.qubits, spec.ansatz_reps)
+    if key not in _engine_cache:
+        _engine_cache[key] = _Engine(spec.qubits, spec.ansatz_reps)
+    return _engine_cache[key]
 
 
 def _stack_states(states, dim: int) -> np.ndarray:
@@ -221,15 +209,14 @@ def _stack_states(states, dim: int) -> np.ndarray:
     return np.ascontiguousarray(block)
 
 
-def _noise_scale(spec: ModelSpec) -> tuple:
-    """(scale, offset) such that <obs> under global depolarizing noise is
-    scale * <obs>_clean + offset. Only valid for global scope."""
+def _noise_scale(spec: ModelSpec) -> float:
+    """scale such that <Z> under global depolarizing noise is
+    scale * <Z>_clean; Z is traceless, so the channel adds no offset.
+    Only valid for global scope."""
     if spec.noise.kind != "depolarizing" or spec.noise.scope != "global":
-        return 1.0, 0.0
+        return 1.0
     hooks = 1 if spec.noise_placement == "input" else spec.ansatz_reps + 2
-    scale = (1.0 - spec.noise.p) ** hooks
-    obs_trace = float(np.trace(np.asarray(spec.resolved_observable().matrix)).real)
-    return scale, (1.0 - scale) * obs_trace / spec.dim
+    return (1.0 - spec.noise.p) ** hooks
 
 
 def _probs_from_z(z: np.ndarray) -> np.ndarray:
@@ -240,26 +227,16 @@ def _bce(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
 
 
-def _sample_z(z_exact: np.ndarray, obs: Observable, shots: int,
-              rng: np.random.Generator) -> np.ndarray:
-    """Finite-shot estimate of <obs> from measurement counts.
-
-    For the two-eigenvalue observables used here the count distribution
-    is binomial over the +-1 outcomes; general observables sample their
-    eigenbasis. z_exact must come from the same observable.
-    """
-    evals = np.linalg.eigvalsh(np.asarray(obs.matrix))
-    lo, hi = float(evals.min()), float(evals.max())
-    z = np.atleast_1d(z_exact)
-    if hi - lo < 1e-15:
-        return np.full(z.shape, lo)
-    p_hi = np.clip((z - lo) / (hi - lo), 0.0, 1.0)
-    counts = rng.binomial(shots, p_hi)
-    return lo + (hi - lo) * counts / shots
+def _sample_z(z_exact: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Finite-shot estimate of <Z> from measurement counts: the count of
+    +1 outcomes is binomial with probability (1 + <Z>)/2."""
+    p_plus = np.clip((np.atleast_1d(z_exact) + 1.0) / 2.0, 0.0, 1.0)
+    counts = rng.binomial(shots, p_plus)
+    return -1.0 + 2.0 * counts / shots
 
 
 def _effective_observable(spec: ModelSpec, params: np.ndarray, noisy: bool) -> np.ndarray:
-    """A with <obs> = psi^dagger A psi, per-qubit channels included when noisy."""
+    """A with <Z> = psi^dagger A psi, per-qubit channels included when noisy."""
     engine, noise = _engine_for(spec), spec.noise
     per_qubit = noisy and noise.kind == "depolarizing" and noise.scope == "per_qubit"
     _, A = engine.walk_back(engine.layers(params), noise.p if per_qubit else None,
@@ -276,16 +253,15 @@ def _read_z(A: np.ndarray, states_T: np.ndarray) -> np.ndarray:
 
 def _batch_z(spec: ModelSpec, params: np.ndarray, states,
              noisy: bool, rng: np.random.Generator | None) -> np.ndarray:
-    """<obs> per state under the model's noise regime (when noisy=True)."""
+    """<Z> per state under the model's noise regime (when noisy=True)."""
     z = _read_z(_effective_observable(spec, params, noisy), _stack_states(states, spec.dim))
     if not noisy:
         return z
-    scale, offset = _noise_scale(spec)
-    z = scale * z + offset
+    z = _noise_scale(spec) * z
     if spec.noise.kind == "measurement_shots":
         if rng is None:
             raise ValueError("finite-shot evaluation needs an explicit rng")
-        z = _sample_z(z, spec.resolved_observable(), spec.noise.shots, rng)
+        z = _sample_z(z, spec.noise.shots, rng)
     return z
 
 
@@ -293,7 +269,7 @@ def _batch_z(spec: ModelSpec, params: np.ndarray, states,
 # public operations
 
 def predict(model: TrainedModel, state, rng: np.random.Generator | None = None) -> float:
-    """Class-1 probability p = (1 + <obs>) / 2 of a pure state under the model's noise."""
+    """Class-1 probability p = (1 + <Z>) / 2 of a pure state under the model's noise."""
     z = float(_batch_z(model.spec, model.params, [state], noisy=True, rng=rng)[0])
     return float(np.clip((1.0 + z) / 2.0, 0.0, 1.0))
 
@@ -337,15 +313,15 @@ def loss_gradient(spec: ModelSpec, params: np.ndarray, states, labels) -> np.nda
     labels = np.asarray(labels, dtype=float).ravel()
     engine = _engine_for(spec)
     states_T = _stack_states(states, spec.dim)
-    _, grad = _gd_step_values(engine, params, states_T, labels, 1.0, 0.0)
+    _, grad = _gd_step_values(engine, params, states_T, labels, 1.0)
     return grad
 
 
 def _gd_step_values(engine: _Engine, theta: np.ndarray, states_T: np.ndarray,
-                    labels: np.ndarray, scale: float, offset: float):
+                    labels: np.ndarray, scale: float):
     """One epoch's (mean loss, gradient) at theta, by the adjoint method.
 
-    The loss is evaluated under the (scale, offset) noise map; the circuit
+    The loss is evaluated with <Z> scaled by the global-noise scale; the circuit
     derivative dz/dtheta stays noiseless by contract, so the gradient is
     0.5 * mean_b(dL/dp_b * dz_b/dtheta) (Jones & Gacon, arXiv:2009.02823).
 
@@ -358,7 +334,7 @@ def _gd_step_values(engine: _Engine, theta: np.ndarray, states_T: np.ndarray,
     """
     layers = engine.layers(theta)
     after, A = engine.walk_back(layers)
-    p = _probs_from_z(scale * _read_z(A, states_T) + offset)
+    p = _probs_from_z(scale * _read_z(A, states_T))
     dldp = -labels / p + (1.0 - labels) / (1.0 - p)
     S = (states_T * (0.5 * dldp / labels.size)) @ states_T.conj().T
     # tr(A G S) = tr(G M) with M = S A
@@ -374,8 +350,10 @@ def train(states, labels, spec: ModelSpec, cfg: TrainConfig) -> TrainedModel:
     """Fit the ansatz parameters to encoded states with {0, 1} labels.
 
     Full-batch descent for cfg.epochs steps from a small uniform random
-    initialization. Deterministic for a fixed seed: the RNG stream is
-    consumed in a fixed order (init, then any per-epoch draws).
+    initialization. Global depolarizing noise in spec.noise scales the <Z>
+    the loss reads; per-qubit noise is not supported. Deterministic for a
+    fixed seed: the RNG stream is consumed in a fixed order (init, then
+    any per-epoch draws).
     """
     labels = np.asarray(labels, dtype=float).ravel()
     states = list(states)
@@ -391,28 +369,24 @@ def train(states, labels, spec: ModelSpec, cfg: TrainConfig) -> TrainedModel:
     engine = _engine_for(spec)
     states_T = _stack_states(states, spec.dim)
 
-    if cfg.under_noise:
-        scale, offset = _noise_scale(spec)
-        if spec.noise.kind == "depolarizing" and spec.noise.scope == "per_qubit":
-            raise NotImplementedError(
-                "training under per-qubit depolarizing noise is not supported; "
-                "use global scope or evaluate noise at audit time only")
-    else:
-        scale, offset = 1.0, 0.0
+    if spec.noise.kind == "depolarizing" and spec.noise.scope == "per_qubit":
+        raise NotImplementedError(
+            "training under per-qubit depolarizing noise is not supported; "
+            "use global scope or evaluate noise at audit time only")
+    scale = _noise_scale(spec)
 
     log = np.empty(cfg.epochs)
     if cfg.optimizer == "gradient_descent":
         for epoch in range(cfg.epochs):
-            log[epoch], grad = _gd_step_values(engine, theta, states_T, labels,
-                                               scale, offset)
+            log[epoch], grad = _gd_step_values(engine, theta, states_T, labels, scale)
             theta = theta - cfg.learning_rate * grad
     else:
         shots = spec.train_shots
 
         def spsa_loss(t: np.ndarray) -> float:
-            z = scale * _read_z(_effective_observable(spec, t, noisy=False), states_T) + offset
+            z = scale * _read_z(_effective_observable(spec, t, noisy=False), states_T)
             if shots:
-                z = _sample_z(z, spec.resolved_observable(), shots, rng)
+                z = _sample_z(z, shots, rng)
             return float(_bce(_probs_from_z(z), labels).mean())
 
         for epoch in range(cfg.epochs):

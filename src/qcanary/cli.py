@@ -146,22 +146,21 @@ def _build_noise(doc: dict) -> NoiseSpec:
 
 
 def build_audit_config(doc: dict) -> AuditConfig:
-    noise = _build_noise(doc)
-    model = ModelSpec(
-        qubits=doc["model.qubits"],
-        ansatz_reps=doc["model.ansatz_reps"],
-        encoding_axis=doc["model.encoding_axis"],
-        noise=noise if doc["train.under_noise"] else NoiseSpec.none(),
-        noise_placement=doc["model.noise_placement"],
-        train_shots=doc["model.train_shots"],
-    )
-    train = TrainConfig(
-        epochs=doc["train.epochs"],
-        learning_rate=doc["train.learning_rate"],
-        optimizer=doc["train.optimizer"],
-        under_noise=doc["train.under_noise"],
-    )
     try:
+        noise = _build_noise(doc)
+        model = ModelSpec(
+            qubits=doc["model.qubits"],
+            ansatz_reps=doc["model.ansatz_reps"],
+            encoding_axis=doc["model.encoding_axis"],
+            noise=noise if doc["train.under_noise"] else NoiseSpec.none(),
+            noise_placement=doc["model.noise_placement"],
+            train_shots=doc["model.train_shots"],
+        )
+        train = TrainConfig(
+            epochs=doc["train.epochs"],
+            learning_rate=doc["train.learning_rate"],
+            optimizer=doc["train.optimizer"],
+        )
         return AuditConfig(
             n=doc["audit.n"], K=doc["audit.K"], d=doc["audit.d"],
             model=model, train=train, noise=noise,
@@ -366,6 +365,8 @@ def cmd_compare(args) -> int:
     ks = doc["compare.ks"]
     if not ks or any(k < 1 for k in ks):
         raise ConfigError("compare.ks must list positive canary counts")
+    if doc["compare.replications"] < 1:
+        raise ConfigError("compare.replications must be at least 1")
 
     qml_trials = doc["compare.qml_trials"]
     base_config = dataset = None

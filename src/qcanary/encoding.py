@@ -134,33 +134,3 @@ def pair_distances(c, alpha):
     overlap_sq = float(np.prod(np.cos(av / 2.0) ** 2))
     full = math.sqrt(max(0.0, 1.0 - overlap_sq))
     return per_qubit, full
-
-
-@dataclass(frozen=True)
-class CanaryPair:
-    """One canary record with both encodings and their separation."""
-
-    features: np.ndarray
-    label: int
-    offsets: np.ndarray
-    state_phi1: PureState
-    state_phi2: PureState
-    per_qubit_distance: np.ndarray
-    full_distance: float
-
-
-def make_canary_pair(features, label: int, offsets, axis: str = "RY") -> CanaryPair:
-    if label not in (0, 1):
-        raise ValueError(f"canary label must be 0 or 1, got {label!r}")
-    f = np.asarray(features, dtype=float).ravel()
-    a = np.asarray(offsets, dtype=float).ravel()
-    per_qubit, full = pair_distances(f, a)
-    return CanaryPair(
-        features=f,
-        label=int(label),
-        offsets=a,
-        state_phi1=angle_encode(f, axis),
-        state_phi2=angle_encode_offset(f, a, axis),
-        per_qubit_distance=per_qubit,
-        full_distance=full,
-    )

@@ -9,7 +9,7 @@ LAPACK eigendecompositions are the right tool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,31 +89,6 @@ class DensityMatrix:
         return self
 
 
-@dataclass(frozen=True)
-class Povm:
-    """Measurement operators that resolve the identity."""
-
-    operators: tuple = field(default_factory=tuple)
-
-    def check(self) -> "Povm":
-        if not self.operators:
-            raise ValueError("POVM needs at least one operator")
-        ops = [_as_complex_matrix(op) for op in self.operators]
-        d = ops[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for op in ops:
-            if op.shape[0] != d:
-                raise ValueError("POVM operators must share a dimension")
-            if not is_hermitian(op):
-                raise ValueError("POVM operator is not Hermitian")
-            if np.linalg.eigvalsh(op).min() < EIGVAL_FLOOR:
-                raise ValueError("POVM operator is not positive semidefinite")
-            total += op
-        if np.max(np.abs(total - np.eye(d))) > TRACE_ATOL:
-            raise ValueError("POVM operators do not sum to the identity")
-        return self
-
-
 def pure(amps) -> PureState:
     """Wrap and validate a statevector."""
     return PureState(np.asarray(amps, dtype=complex)).check()
@@ -126,11 +101,6 @@ def density(mat) -> DensityMatrix:
     the positivity check; anything below that is rejected.
     """
     return DensityMatrix(_as_complex_matrix(mat)).check()
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two operators (or vectors)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:
@@ -176,10 +146,3 @@ def pure_to_density(psi: PureState) -> DensityMatrix:
     if abs(norm2 - 1.0) > NORM_ATOL:
         raise ValueError(f"statevector is not normalized: |psi|^2 = {norm2}")
     return DensityMatrix(np.outer(v, v.conj()))
-
-
-def fidelity_pure(a: PureState, b: PureState) -> float:
-    """|<a|b>| for pure states."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return float(abs(complex(np.vdot(a.amps, b.amps))))

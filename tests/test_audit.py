@@ -285,6 +285,11 @@ def test_config_validation(dataset):
         small_config(estimator="hoeffding")
     with pytest.raises(ValueError):
         small_config(kappa_rule="oracle")
+    for field, value in (("delta_conf", 0.0), ("delta_conf", 1.5),
+                         ("theory_delta", 0.0), ("theory_delta", 1.5),
+                         ("theory_r", -1)):
+        with pytest.raises(ValueError):
+            small_config(**{field: value})
 
 
 def test_audit_report_coherent(dataset):
@@ -339,11 +344,6 @@ def test_per_qubit_noise_reports_no_ceiling(dataset):
     assert report.theory["params"]["scope"] == "per_qubit"
     assert "note" in report.theory
     assert report.estimate.theory_epsilon is None
-
-
-def test_baseline_uses_single_canary(dataset):
-    est = qc.baseline_qdp_audit(small_config(), dataset)
-    assert est.epsilon_hat >= 0.0
 
 
 def test_worker_pool_matches_serial(dataset):

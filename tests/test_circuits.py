@@ -130,19 +130,6 @@ def test_full_depolarizing_kills_expectation(rng):
     assert qc.expectation(rho, qc.z_on_qubit(2, 0)) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_sample_counts_deterministic_and_consistent(rng):
-    rho = pure_to_density(qc.pure(np.array([1, 1]) / math.sqrt(2)))
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    povm = qc.Povm((p0, p1))
-    counts = qc.sample_counts(rho, povm, 1000, np.random.default_rng(3))
-    again = qc.sample_counts(rho, povm, 1000, np.random.default_rng(3))
-    assert np.array_equal(counts, again)
-    assert counts.sum() == 1000
-    # |+> measures each outcome with probability 1/2
-    assert abs(counts[0] / 1000 - 0.5) < 0.06
-
-
 def test_gate_validation():
     with pytest.raises(ValueError):
         Gate("CX", (0,))

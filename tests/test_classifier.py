@@ -8,9 +8,8 @@ import pytest
 import qcanary as qc
 from qcanary import ModelSpec, NoiseSpec, TrainConfig, TrainedModel
 from qcanary.classifier import loss_gradient, mean_loss
-from qcanary.circuits import (Observable, apply_circuit_density, build_real_amplitudes,
-                              expectation, parameter_shift_gradient, with_noise_ids)
-from qcanary.noise import _Y, _embed_1q
+from qcanary.circuits import (apply_circuit_density, build_real_amplitudes, expectation,
+                              parameter_shift_gradient, with_noise_ids, z_on_qubit)
 from qcanary.states import pure_to_density
 
 
@@ -71,9 +70,9 @@ def test_mean_loss_gradient_matches_finite_differences(rng):
 
 
 def _reference_z_and_dz(spec: ModelSpec, params, states):
-    """Noiseless <obs> and its parameter-shift gradient, one circuit per state."""
+    """Noiseless <Z> and its parameter-shift gradient, one circuit per state."""
     circuit = build_real_amplitudes(spec.qubits, spec.ansatz_reps)
-    obs = spec.resolved_observable()
+    obs = z_on_qubit(spec.qubits)
     z = np.array([expectation(apply_circuit_density(circuit, params, pure_to_density(st),
                                                     NoiseSpec.none()), obs)
                   for st in states])
@@ -81,24 +80,21 @@ def _reference_z_and_dz(spec: ModelSpec, params, states):
     return z, dz
 
 
-def _chain_rule_gradient(z, dz, labels, scale=1.0, offset=0.0):
-    """0.5 mean_b(dL/dp_b dz_b): the loss read through the (scale, offset)
-    noise map, the circuit derivative noiseless."""
-    p = np.clip((1.0 + scale * z + offset) / 2.0, 1e-9, 1.0 - 1e-9)
+def _chain_rule_gradient(z, dz, labels, scale=1.0):
+    """0.5 mean_b(dL/dp_b dz_b): the loss read through the global-noise
+    scale, the circuit derivative noiseless."""
+    p = np.clip((1.0 + scale * z) / 2.0, 1e-9, 1.0 - 1e-9)
     dldp = -labels / p + (1.0 - labels) / (1.0 - p)
     loss = -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
     return loss.mean(), 0.5 * (dz * dldp[:, None]).mean(axis=0)
 
 
 def test_loss_gradient_matches_parameter_shift_reference(rng):
-    # one qubit has no CX chain; RX inputs and the Y readout are complex.
-    # Features stay inside (0.2, 0.8) so no prediction sits at the clamp,
-    # where dL/dp ~ 1/p would magnify rounding in both computations
-    for qubits, reps, axis, readout in itertools.product(
-            (1, 2, 3), (1, 2), ("RY", "RX"), ("Z", "Y")):
-        obs = None if readout == "Z" else Observable(_embed_1q(_Y, qubits - 1, qubits))
-        spec = ModelSpec(qubits=qubits, ansatz_reps=reps, encoding_axis=axis,
-                         observable=obs)
+    # one qubit has no CX chain; RX inputs are complex. Features stay
+    # inside (0.2, 0.8) so no prediction sits at the clamp, where
+    # dL/dp ~ 1/p would magnify rounding in both computations
+    for qubits, reps, axis in itertools.product((1, 2, 3), (1, 2), ("RY", "RX")):
+        spec = ModelSpec(qubits=qubits, ansatz_reps=reps, encoding_axis=axis)
         states = [qc.angle_encode(rng.uniform(0.2, 0.8, qubits), axis) for _ in range(5)]
         labels = rng.integers(0, 2, 5).astype(float)
         params = rng.uniform(-1, 1, spec.param_count)
@@ -106,7 +102,7 @@ def test_loss_gradient_matches_parameter_shift_reference(rng):
         _, want = _chain_rule_gradient(z, dz, labels)
         got = loss_gradient(spec, params, states, labels)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
-                                   err_msg=f"{qubits} qubits, {reps} reps, {axis}, {readout}")
+                                   err_msg=f"{qubits} qubits, {reps} reps, {axis}")
 
 
 def test_training_under_global_noise_matches_parameter_shift_loop(rng):
@@ -115,11 +111,11 @@ def test_training_under_global_noise_matches_parameter_shift_loop(rng):
     labels = ds.labels.astype(float)
     spec = ModelSpec(qubits=2, ansatz_reps=1, noise=NoiseSpec.depolarizing(0.2),
                      noise_placement="input_and_layers")
-    cfg = TrainConfig(epochs=10, learning_rate=0.3, seed=3, under_noise=True)
+    cfg = TrainConfig(epochs=10, learning_rate=0.3, seed=3)
     model = qc.train(states, labels, spec, cfg)
 
     # a global channel at the input and after both RY layers scales <Z> by
-    # (1 - p)^3; Z is traceless, so the offset is 0
+    # (1 - p)^3; Z is traceless, so there is no offset
     scale = 0.8**3
     theta = np.random.default_rng(cfg.seed).uniform(-0.1, 0.1, spec.param_count)
     log = []
@@ -133,7 +129,7 @@ def test_training_under_global_noise_matches_parameter_shift_loop(rng):
 
 
 def test_global_noise_scale_matches_density_walk(rng):
-    # both scopes: global noise as the (scale, offset) map, per-qubit noise
+    # both scopes: global noise as the scale on <Z>, per-qubit noise
     # inside the effective observable
     for scope, placement in itertools.product(("global", "per_qubit"),
                                               ("input", "input_and_layers")):
@@ -147,7 +143,7 @@ def test_global_noise_scale_matches_density_walk(rng):
 
         circ = with_noise_ids(build_real_amplitudes(3, 2), placement, scope)
         rho = apply_circuit_density(circ, params, pure_to_density(st), spec.noise)
-        z = float(np.trace(np.asarray(spec.resolved_observable().matrix) @ rho.mat).real)
+        z = float(np.trace(np.asarray(z_on_qubit(spec.qubits).matrix) @ rho.mat).real)
         assert fast == pytest.approx((1 + z) / 2, abs=1e-12)
 
 
@@ -226,10 +222,10 @@ def test_under_noise_training_uses_noisy_forward(rng):
     ds = qc.synth_gaussians(2, 12, 3.0, rng)
     states = [qc.angle_encode(x) for x in ds.features]
     noisy_spec = ModelSpec(qubits=2, ansatz_reps=1, noise=NoiseSpec.depolarizing(0.2))
-    cfg_noisy = TrainConfig(epochs=10, learning_rate=0.3, seed=1, under_noise=True)
-    cfg_clean = TrainConfig(epochs=10, learning_rate=0.3, seed=1, under_noise=False)
-    m_noisy = qc.train(states, ds.labels, noisy_spec, cfg_noisy)
-    m_clean = qc.train(states, ds.labels, noisy_spec, cfg_clean)
+    clean_spec = replace(noisy_spec, noise=NoiseSpec.none())
+    cfg = TrainConfig(epochs=10, learning_rate=0.3, seed=1)
+    m_noisy = qc.train(states, ds.labels, noisy_spec, cfg)
+    m_clean = qc.train(states, ds.labels, clean_spec, cfg)
     assert not np.array_equal(m_noisy.params, m_clean.params)
 
 
@@ -238,9 +234,10 @@ def test_under_noise_per_qubit_training_unsupported(rng):
     states = [qc.angle_encode(x) for x in ds.features]
     spec = ModelSpec(qubits=2, ansatz_reps=1,
                      noise=NoiseSpec.depolarizing(0.2, scope="per_qubit"))
+    cfg = TrainConfig(epochs=2, learning_rate=0.1)
     with pytest.raises(NotImplementedError):
-        qc.train(states, ds.labels, spec,
-                 TrainConfig(epochs=2, learning_rate=0.1, under_noise=True))
+        qc.train(states, ds.labels, spec, cfg)
+    qc.train(states, ds.labels, replace(spec, noise=NoiseSpec.none()), cfg)
 
 
 def test_eval_model_swaps_noise_only(rng):

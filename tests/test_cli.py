@@ -79,7 +79,10 @@ def test_schema_defaults_match_audit_config():
 
 
 def test_invalid_field_is_config_error():
-    for key, value in (("audit.beta", 2.0), ("audit.n", 1)):
+    for key, value in (("audit.beta", 2.0), ("audit.n", 1),
+                       ("audit.delta_conf", 1.5), ("audit.delta_conf", 0.0),
+                       ("audit.theory_delta", 1.5), ("audit.theory_r", -1),
+                       ("model.qubits", 0), ("train.epochs", 0), ("noise.p", 2.0)):
         doc = load_config(None)
         doc[key] = value
         with pytest.raises(ConfigError):
@@ -163,6 +166,25 @@ def test_config_error_exits_2_without_output(tmp_path):
     out = str(tmp_path / "never.json")
     assert main(["audit", "--config", str(bad), "--out", out]) == 2
     assert not os.path.exists(out)
+    # bad values fail the config check before any model trains
+    shots = {"noise.kind": "measurement_shots", "noise.shots": 100}
+    for extra in ({**shots, "audit.theory_delta": 1.5}, {**shots, "audit.theory_r": -1},
+                  {"audit.delta_conf": 1.5}):
+        assert main(["audit", "--config", write_config(tmp_path, extra),
+                     "--out", out]) == 2
+        assert not os.path.exists(out)
+
+
+def test_shot_noise_audit_trains_under_noise(tmp_path):
+    # the calibration pass reads mu noiselessly, whatever the training noise
+    cfg = write_config(tmp_path, {"noise.kind": "measurement_shots", "noise.shots": 100,
+                                  "train.under_noise": True, "train.epochs": 2,
+                                  "audit.n": 4, "audit.K": 2})
+    out = str(tmp_path / "report.json")
+    assert main(["audit", "--config", cfg, "--out", out]) == 0
+    rep = json.load(open(out))
+    assert rep["theory"]["kind"] == "measurement_shots"
+    assert rep["theory"]["params"]["mu"] >= 1e-3
 
 
 def test_runtime_error_exits_1_without_output(tmp_path):
@@ -242,6 +264,14 @@ def test_compare_rejects_bad_k_list(tmp_path):
     cfg = tmp_path / "cmp.json"
     cfg.write_text(json.dumps({"compare.ks": []}))
     assert main(["compare", "--config", str(cfg)]) == 2
+
+
+def test_compare_rejects_no_replications(tmp_path):
+    cfg = tmp_path / "cmp.json"
+    cfg.write_text(json.dumps({"compare.replications": 0}))
+    out = str(tmp_path / "never.json")
+    assert main(["compare", "--config", str(cfg), "--out", out]) == 2
+    assert not os.path.exists(out)
 
 
 def test_usage_error_exit_code():

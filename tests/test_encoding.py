@@ -115,17 +115,7 @@ def test_full_distance_matches_state_overlap(rng):
     for _ in range(25):
         feats = rng.uniform(0, 1, 3)
         offsets = rng.uniform(-0.3, 0.3, 3)
-        pair = qc.make_canary_pair(feats, 1, offsets)
-        direct = qc.pure_trace_distance(pair.state_phi1, pair.state_phi2)
-        assert pair.full_distance == pytest.approx(direct, abs=1e-10)
-
-
-def test_canary_pair_fields(rng):
-    feats = rng.uniform(0, 1, 4)
-    offsets = qc.sample_offsets(OffsetSpec(d=0.1), 4, rng)
-    pair = qc.make_canary_pair(feats, 0, offsets)
-    assert pair.label == 0
-    assert pair.per_qubit_distance.max() <= 0.1 + 1e-15
-    assert np.array_equal(pair.offsets, offsets)
-    with pytest.raises(ValueError):
-        qc.make_canary_pair(feats, 2, offsets)
+        _, full = qc.pair_distances(feats, offsets)
+        direct = qc.pure_trace_distance(qc.angle_encode(feats),
+                                        qc.angle_encode_offset(feats, offsets))
+        assert full == pytest.approx(direct, abs=1e-10)

