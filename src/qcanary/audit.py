@@ -35,10 +35,8 @@ from .data import Dataset
 from .encoding import OffsetSpec, angle_encode, angle_encode_offset, sample_offsets
 from .noise import NoiseSpec
 
-KAPPA_RULES = ("reference", "calibrated_median", "fixed")
+KAPPA_RULES = ("reference", "calibrated_median")
 ESTIMATORS = ("betting", "bernstein")
-EVAL_ENCODINGS = ("phi1", "phi2")
-STATISTICS = ("per_canary", "conjunction")
 
 CALIBRATION_CANARIES = 64
 MU_FLOOR = 1e-3
@@ -65,10 +63,7 @@ class AuditConfig:
     beta: float = 0.05
     delta: float | None = None
     kappa_rule: str = "reference"
-    kappa_value: float | None = None
     estimator: str = "betting"
-    eval_encoding: str = "phi2"
-    statistic: str = "per_canary"
     seed: int = 0
     theory_delta: float = 0.01
     theory_r: int = 1
@@ -90,14 +85,8 @@ class AuditConfig:
             raise ValueError(f"delta {self.delta} not in [0, 1)")
         if self.kappa_rule not in KAPPA_RULES:
             raise ValueError(f"unknown kappa rule {self.kappa_rule!r}")
-        if self.kappa_rule == "fixed" and self.kappa_value is None:
-            raise ValueError("kappa_rule 'fixed' needs kappa_value")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.eval_encoding not in EVAL_ENCODINGS:
-            raise ValueError(f"unknown eval encoding {self.eval_encoding!r}")
-        if self.statistic not in STATISTICS:
-            raise ValueError(f"unknown statistic {self.statistic!r}")
 
     def resolved_delta(self) -> float:
         if self.delta is not None:
@@ -148,10 +137,10 @@ class EpsilonEstimate:
 class AuditReport:
     """Everything one audit produced.
 
-    Under 'calibrated_median' and 'fixed', kappa is the global loss
-    threshold a canary had to beat. Under 'reference' no global threshold
-    is applied: each canary is compared with its own reference loss, and
-    kappa is only a summary, the median of those per-canary thresholds.
+    Under 'calibrated_median', kappa is the global loss threshold a canary
+    had to beat. Under 'reference' no global threshold is applied: each
+    canary is compared with its own reference loss, and kappa is only a
+    summary, the median of those per-canary thresholds.
     """
 
     estimate: EpsilonEstimate
@@ -295,6 +284,8 @@ def estimate_epsilon(x, y, beta: float, delta: float = 0.0,
     grows, both bounds holding implies the privacy inequality's epsilon
     is at least that value. Each bound spends beta/2.
     """
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"failure probability {beta} not in (0, 1)")
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     x = _check_indicator_matrix(x)
@@ -438,20 +429,6 @@ def _encode_base(dataset: Dataset, axis: str):
     return [angle_encode(row, axis) for row in dataset.features]
 
 
-def _eval_states(feats, offsets, eval_encoding: str, axis: str,
-                 reuse: list | None = None):
-    """Encoded evaluation states for a canary block.
-
-    Under phi2 with reuse given, the exact training-state objects are
-    returned so the seen set is bit-identical to what the model trained on.
-    """
-    if eval_encoding == "phi1":
-        return [angle_encode(f, axis) for f in feats]
-    if reuse is not None:
-        return reuse
-    return [angle_encode_offset(f, a, axis) for f, a in zip(feats, offsets)]
-
-
 def run_trial(trial_index: int, config: AuditConfig, dataset: Dataset,
               kappa: float | None = None):
     """One paired-model trial; returns the seen and unseen indicator rows.
@@ -459,7 +436,7 @@ def run_trial(trial_index: int, config: AuditConfig, dataset: Dataset,
     With kappa given, a canary is recognized when its loss is below that
     global threshold. Otherwise config.kappa_rule decides: 'reference'
     compares each canary's loss with its loss under the trial's reference
-    model, the other rules resolve a global kappa via calibrate_kappa.
+    model, 'calibrated_median' resolves a global kappa via calibrate_kappa.
     The trial's entire randomness derives from (config.seed, trial_index),
     so any execution order or process placement yields the same rows.
     """
@@ -506,14 +483,15 @@ def _run_trial(trial_index: int, config: AuditConfig, dataset: Dataset,
     theta0 = train(base_states + seen_phi1, labels_aug, config.model, tcfg)
     theta1 = train(base_states + seen_phi2, labels_aug, config.model, tcfg)
 
-    seen_eval = _eval_states(seen_feats, train_offsets, config.eval_encoding,
-                             axis, reuse=seen_phi2)
-    unseen_eval = _eval_states(unseen_feats, eval_offsets, config.eval_encoding, axis)
+    # theta1 is scored on the very states it trained on, theta0 on fresh
+    # offset-encoded canaries
+    unseen_phi2 = [angle_encode_offset(f, a, axis)
+                   for f, a in zip(unseen_feats, eval_offsets)]
 
     x_losses = evaluate_losses(eval_model(theta1, config.noise),
-                               seen_eval, seen_labels, rng)
+                               seen_phi2, seen_labels, rng)
     y_losses = evaluate_losses(eval_model(theta0, config.noise),
-                               unseen_eval, unseen_labels, rng)
+                               unseen_phi2, unseen_labels, rng)
     if kappa is not None:
         return ((x_losses < kappa).astype(np.uint8),
                 (y_losses < kappa).astype(np.uint8), None)
@@ -522,8 +500,8 @@ def _run_trial(trial_index: int, config: AuditConfig, dataset: Dataset,
     # canary-independent post-processing of the trial's initialization
     reference = eval_model(train(base_states, base_labels, config.model, tcfg),
                            config.noise)
-    x_ref = evaluate_losses(reference, seen_eval, seen_labels, rng)
-    y_ref = evaluate_losses(reference, unseen_eval, unseen_labels, rng)
+    x_ref = evaluate_losses(reference, seen_phi2, seen_labels, rng)
+    y_ref = evaluate_losses(reference, unseen_phi2, unseen_labels, rng)
     return ((x_losses < x_ref).astype(np.uint8),
             (y_losses < y_ref).astype(np.uint8),
             np.concatenate([x_ref, y_ref]))
@@ -549,11 +527,8 @@ def _calibration(dataset: Dataset, config: AuditConfig,
 
     feats, labels = generate_canaries(dataset, CALIBRATION_CANARIES, rng)
     spec_off = OffsetSpec(d=config.d, delta_conf=config.delta_conf)
-    if config.eval_encoding == "phi2":
-        states = [angle_encode_offset(f, sample_offsets(spec_off, dataset.feature_count, rng), axis)
-                  for f in feats]
-    else:
-        states = [angle_encode(f, axis) for f in feats]
+    states = [angle_encode_offset(f, sample_offsets(spec_off, dataset.feature_count, rng), axis)
+              for f in feats]
 
     losses = evaluate_losses(eval_model(reference, config.noise), states, labels, rng)
     kappa = float(np.median(losses))
@@ -565,13 +540,9 @@ def _calibration(dataset: Dataset, config: AuditConfig,
 
 
 def calibrate_kappa(dataset: Dataset, config: AuditConfig) -> float:
-    """The paper's global rejection threshold.
-
-    config.kappa_value under 'fixed', otherwise the calibrated median. The
+    """The paper's global rejection threshold, the calibrated median. The
     'reference' rule compares per canary and does not use it.
     """
-    if config.kappa_rule == "fixed":
-        return float(config.kappa_value)
     kappa, _ = _calibration(dataset, config)
     return kappa
 
@@ -624,9 +595,7 @@ def audit(config: AuditConfig, dataset: Dataset, workers: int = 1) -> AuditRepor
     # the finite-shot bound needs mu whatever the recognition rule
     if config.kappa_rule == "calibrated_median" or config.noise.kind == "measurement_shots":
         kappa, mu_est = _calibration(dataset, config, base_states)
-    if config.kappa_rule == "fixed":
-        kappa = float(config.kappa_value)
-    elif config.kappa_rule == "reference":
+    if config.kappa_rule == "reference":
         kappa = None
     t1 = time.perf_counter()
 
@@ -643,9 +612,6 @@ def audit(config: AuditConfig, dataset: Dataset, workers: int = 1) -> AuditRepor
     y = np.stack([r[1] for r in rows])
     if kappa is None:
         kappa = float(np.median(np.concatenate([r[2] for r in rows])))
-    if config.statistic == "conjunction":
-        x = x.all(axis=1, keepdims=True).astype(np.uint8)
-        y = y.all(axis=1, keepdims=True).astype(np.uint8)
     t2 = time.perf_counter()
 
     theory = _theory_for(config, mu_est)

@@ -210,34 +210,22 @@ def build_real_amplitudes(qubits: int, reps: int) -> ParamCircuit:
                         param_count=(reps + 1) * qubits)
 
 
-def with_noise_ids(circuit: ParamCircuit, placement: str = "input",
-                   scope: str = "per_qubit") -> ParamCircuit:
-    """Insert ID gates that mark where a channel acts.
+def with_noise_ids(circuit: ParamCircuit, scope: str = "per_qubit") -> ParamCircuit:
+    """Insert ID gates that mark where a channel acts: on the encoded input
+    state, before anything else runs.
 
-    "input" marks the encoded input state before anything else runs;
-    "input_and_layers" additionally marks the position after each RY
-    layer. Per-qubit scope gets one ID per qubit at each placement point.
-    A global channel hits the whole register at once, so global scope gets
-    a single ID (on qubit 0) per placement point; marking every qubit
-    would apply it qubits times and overstate the mixing.
+    Per-qubit scope gets one ID per qubit. A global channel hits the whole
+    register at once, so global scope gets a single ID (on qubit 0);
+    marking every qubit would apply it qubits times and overstate the
+    mixing.
     """
-    if placement not in ("input", "input_and_layers"):
-        raise ValueError(f"unknown noise placement {placement!r}")
     if scope not in ("per_qubit", "global"):
         raise ValueError(f"unknown noise scope {scope!r}")
     marked = range(circuit.qubits) if scope == "per_qubit" else (0,)
-    gates = [Gate("ID", (q,)) for q in marked]
-    slots = list(range(len(gates)))
-    for g in circuit.gates:
-        gates.append(g)
-        # a layer ends when the rotation on the last qubit has been placed
-        if (placement == "input_and_layers" and g.kind in ROTATIONS
-                and g.targets[0] == circuit.qubits - 1):
-            for q in marked:
-                gates.append(Gate("ID", (q,)))
-                slots.append(len(gates) - 1)
-    return ParamCircuit(qubits=circuit.qubits, gates=tuple(gates),
-                        param_count=circuit.param_count, noise_slots=tuple(slots))
+    ids = tuple(Gate("ID", (q,)) for q in marked)
+    return ParamCircuit(qubits=circuit.qubits, gates=ids + tuple(circuit.gates),
+                        param_count=circuit.param_count,
+                        noise_slots=tuple(range(len(ids))))
 
 
 def expectation(rho: DensityMatrix, obs: Observable) -> float:

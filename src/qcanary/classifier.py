@@ -3,8 +3,7 @@
 A model is a RealAmplitudes-style ansatz over encoded product states with
 a fixed readout, <Z> on qubit 0, mapped to a class probability
 p = (1 + <Z>)/2 and binary cross-entropy loss. Training is full-batch
-gradient descent on exact adjoint gradients (or SPSA for the shot-noise
-regime).
+gradient descent on exact adjoint gradients.
 
 One engine serves every path. A privacy audit retrains the model hundreds
 of times, so the _Engine below builds all layer unitaries of a parameter
@@ -31,9 +30,6 @@ from .states import PureState
 
 P_CLAMP = 1e-9
 
-OPTIMIZERS = ("gradient_descent", "spsa")
-PLACEMENTS = ("input", "input_and_layers")
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -44,16 +40,12 @@ class ModelSpec:
     ansatz_reps: int = 3
     encoding_axis: str = "RY"
     noise: NoiseSpec = field(default_factory=NoiseSpec.none)
-    noise_placement: str = "input"
-    train_shots: int | None = None
 
     def __post_init__(self):
         if self.qubits < 1 or self.ansatz_reps < 1:
             raise ValueError("need qubits >= 1 and ansatz_reps >= 1")
         if self.encoding_axis not in ("RY", "RX"):
             raise ValueError(f"unsupported encoding axis {self.encoding_axis!r}")
-        if self.noise_placement not in PLACEMENTS:
-            raise ValueError(f"unknown noise placement {self.noise_placement!r}")
 
     @property
     def param_count(self) -> int:
@@ -68,7 +60,6 @@ class ModelSpec:
 class TrainConfig:
     epochs: int
     learning_rate: float = 0.1
-    optimizer: str = "gradient_descent"
     seed: int = 0
 
     def __post_init__(self):
@@ -76,8 +67,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0.0:
             raise ValueError("learning rate must be positive")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass(frozen=True)
@@ -154,29 +143,24 @@ class _Engine:
         layers[1:] = layers[1:] @ self.chain
         return layers
 
-    def walk_back(self, layers: np.ndarray, per_qubit_p: float | None = None,
-                  after_layers: bool = False):
+    def walk_back(self, layers: np.ndarray, per_qubit_p: float | None = None):
         """The readout walked back through the ansatz, last layer first.
 
         Returns (after, A): after[l] is the observable the state sees just
         after layer l, and A the one the input state sees, so that
         <Z> = psi^dagger A psi. Each layer V (real, so V^dagger = V^T)
         maps A to V^T A V. With per_qubit_p, a per-qubit depolarizing
-        channel (a Pauli channel, its own adjoint) acts on A at the input
-        and, with after_layers, after every RY layer, wherever it would
-        act on the state.
+        channel (a Pauli channel, its own adjoint) acts on A at the input,
+        where it acts on the state.
         """
-        at_input = range(self.n) if per_qubit_p is not None else ()
-        after_layer = at_input if after_layers else ()
         after = [None] * len(layers)
         A = self.obs
         for layer in range(len(layers) - 1, -1, -1):
-            for q in after_layer:
-                A = _depolarize_qubit_mat(A, q, per_qubit_p)
             after[layer] = A
             A = layers[layer].T @ A @ layers[layer]
-        for q in at_input:
-            A = _depolarize_qubit_mat(A, q, per_qubit_p)
+        if per_qubit_p is not None:
+            for q in range(self.n):
+                A = _depolarize_qubit_mat(A, q, per_qubit_p)
         return after, A
 
     def generator_traces(self, M: np.ndarray) -> np.ndarray:
@@ -210,13 +194,12 @@ def _stack_states(states, dim: int) -> np.ndarray:
 
 
 def _noise_scale(spec: ModelSpec) -> float:
-    """scale such that <Z> under global depolarizing noise is
-    scale * <Z>_clean; Z is traceless, so the channel adds no offset.
+    """scale such that <Z> under global depolarizing noise at the input
+    is scale * <Z>_clean; Z is traceless, so the channel adds no offset.
     Only valid for global scope."""
     if spec.noise.kind != "depolarizing" or spec.noise.scope != "global":
         return 1.0
-    hooks = 1 if spec.noise_placement == "input" else spec.ansatz_reps + 2
-    return (1.0 - spec.noise.p) ** hooks
+    return 1.0 - spec.noise.p
 
 
 def _probs_from_z(z: np.ndarray) -> np.ndarray:
@@ -239,8 +222,7 @@ def _effective_observable(spec: ModelSpec, params: np.ndarray, noisy: bool) -> n
     """A with <Z> = psi^dagger A psi, per-qubit channels included when noisy."""
     engine, noise = _engine_for(spec), spec.noise
     per_qubit = noisy and noise.kind == "depolarizing" and noise.scope == "per_qubit"
-    _, A = engine.walk_back(engine.layers(params), noise.p if per_qubit else None,
-                            spec.noise_placement == "input_and_layers")
+    _, A = engine.walk_back(engine.layers(params), noise.p if per_qubit else None)
     if np.iscomplexobj(A) and not A.imag.any():
         A = A.real
     return A
@@ -352,8 +334,7 @@ def train(states, labels, spec: ModelSpec, cfg: TrainConfig) -> TrainedModel:
     Full-batch descent for cfg.epochs steps from a small uniform random
     initialization. Global depolarizing noise in spec.noise scales the <Z>
     the loss reads; per-qubit noise is not supported. Deterministic for a
-    fixed seed: the RNG stream is consumed in a fixed order (init, then
-    any per-epoch draws).
+    fixed seed, which draws the initialization.
     """
     labels = np.asarray(labels, dtype=float).ravel()
     states = list(states)
@@ -376,28 +357,9 @@ def train(states, labels, spec: ModelSpec, cfg: TrainConfig) -> TrainedModel:
     scale = _noise_scale(spec)
 
     log = np.empty(cfg.epochs)
-    if cfg.optimizer == "gradient_descent":
-        for epoch in range(cfg.epochs):
-            log[epoch], grad = _gd_step_values(engine, theta, states_T, labels, scale)
-            theta = theta - cfg.learning_rate * grad
-    else:
-        shots = spec.train_shots
-
-        def spsa_loss(t: np.ndarray) -> float:
-            z = scale * _read_z(_effective_observable(spec, t, noisy=False), states_T)
-            if shots:
-                z = _sample_z(z, shots, rng)
-            return float(_bce(_probs_from_z(z), labels).mean())
-
-        for epoch in range(cfg.epochs):
-            k = epoch + 1
-            ck = 0.1 * k**-0.101
-            ak = cfg.learning_rate * k**-0.602
-            delta = rng.integers(0, 2, spec.param_count) * 2.0 - 1.0
-            log[epoch] = spsa_loss(theta)
-            ghat = (spsa_loss(theta + ck * delta) - spsa_loss(theta - ck * delta)) \
-                / (2.0 * ck) * delta
-            theta = theta - ak * ghat
+    for epoch in range(cfg.epochs):
+        log[epoch], grad = _gd_step_values(engine, theta, states_T, labels, scale)
+        theta = theta - cfg.learning_rate * grad
 
     return TrainedModel(spec=spec, params=theta, train_log=log)
 

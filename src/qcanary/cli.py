@@ -58,10 +58,7 @@ CONFIG_SCHEMA = {
     "audit.beta": ("float", 0.05),
     "audit.delta": ("float|null", None),
     "audit.kappa_rule": ("str", "reference"),
-    "audit.kappa_value": ("float|null", None),
     "audit.estimator": ("str", "betting"),
-    "audit.eval_encoding": ("str", "phi2"),
-    "audit.statistic": ("str", "per_canary"),
     "audit.seed": ("int", 0),
     "audit.theory_delta": ("float", 0.01),
     "audit.theory_r": ("int", 1),
@@ -72,11 +69,8 @@ CONFIG_SCHEMA = {
     "model.qubits": ("int", 4),
     "model.ansatz_reps": ("int", 3),
     "model.encoding_axis": ("str", "RY"),
-    "model.noise_placement": ("str", "input"),
-    "model.train_shots": ("int|null", None),
     "train.epochs": ("int", 30),
     "train.learning_rate": ("float", 0.1),
-    "train.optimizer": ("str", "gradient_descent"),
     "train.under_noise": ("bool", False),
     "run.workers": ("int|null", None),
     "run.out": ("str|null", None),
@@ -153,23 +147,17 @@ def build_audit_config(doc: dict) -> AuditConfig:
             ansatz_reps=doc["model.ansatz_reps"],
             encoding_axis=doc["model.encoding_axis"],
             noise=noise if doc["train.under_noise"] else NoiseSpec.none(),
-            noise_placement=doc["model.noise_placement"],
-            train_shots=doc["model.train_shots"],
         )
         train = TrainConfig(
             epochs=doc["train.epochs"],
             learning_rate=doc["train.learning_rate"],
-            optimizer=doc["train.optimizer"],
         )
         return AuditConfig(
             n=doc["audit.n"], K=doc["audit.K"], d=doc["audit.d"],
             model=model, train=train, noise=noise,
             delta_conf=doc["audit.delta_conf"], beta=doc["audit.beta"],
             delta=doc["audit.delta"], kappa_rule=doc["audit.kappa_rule"],
-            kappa_value=doc["audit.kappa_value"],
-            estimator=doc["audit.estimator"],
-            eval_encoding=doc["audit.eval_encoding"],
-            statistic=doc["audit.statistic"], seed=doc["audit.seed"],
+            estimator=doc["audit.estimator"], seed=doc["audit.seed"],
             theory_delta=doc["audit.theory_delta"],
             theory_r=doc["audit.theory_r"])
     except ValueError as err:
@@ -290,9 +278,17 @@ def cmd_audit(args) -> int:
         "trial_means": {"x": report.trial_means_x, "y": report.trial_means_y},
         "timings": timings,
     }
-    emit_json(out_doc, out_path)
+    # the series goes first, so a failed series write prints no report;
+    # a failed report write takes the series back out
     if args.series is not None:
         _write_series(args.series, report.trial_means_x, report.trial_means_y)
+    try:
+        emit_json(out_doc, out_path)
+    except BaseException:
+        if args.series is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(args.series)
+        raise
     return 0
 
 

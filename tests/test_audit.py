@@ -126,6 +126,17 @@ def test_estimate_epsilon_betting_formula():
         qc.estimate_epsilon(x, y, 0.05, estimator="hoeffding")
 
 
+def test_estimate_epsilon_rejects_beta_outside_unit_interval():
+    # beta/2 would pass the bounds' own (0, 1) checks for beta in [1, 2)
+    x = np.ones((8, 2))
+    for estimator in ("betting", "bernstein"):
+        for beta in (0.0, 1.0, 1.5, -0.1):
+            with pytest.raises(ValueError, match="failure probability"):
+                qc.estimate_epsilon(x, x, beta, estimator=estimator)
+    with pytest.raises(ValueError):
+        qc.simulate_known_mechanism(0.0, 8, 2, 1.5, np.random.default_rng(0))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 0.5))
 def test_epsilon_hat_nonnegative_and_monotone(p1, p0, delta):
@@ -256,9 +267,7 @@ def test_paper_rule_and_bound_reproduce_pinned_audit(dataset):
     assert report.estimate.gap_lower is None
 
 
-def test_calibrate_kappa_fixed_and_median(dataset):
-    fixed = small_config(kappa_rule="fixed", kappa_value=0.42)
-    assert qc.calibrate_kappa(dataset, fixed) == 0.42
+def test_calibrate_kappa_median(dataset):
     cal = small_config()
     k1 = qc.calibrate_kappa(dataset, cal)
     k2 = qc.calibrate_kappa(dataset, cal)
@@ -273,12 +282,6 @@ def test_calibration_mu_floor(dataset):
 def test_config_validation(dataset):
     with pytest.raises(ValueError):
         small_config(d=0.0)
-    with pytest.raises(ValueError):
-        small_config(kappa_rule="fixed")  # no value given
-    with pytest.raises(ValueError):
-        small_config(eval_encoding="phi3")
-    with pytest.raises(ValueError):
-        small_config(statistic="disjunction")
     with pytest.raises(ValueError):
         small_config(beta=1.0)
     with pytest.raises(ValueError):
@@ -313,17 +316,6 @@ def test_audit_rejects_bad_shapes(dataset):
     wrong = qc.synth_gaussians(2, 10, 2.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         qc.audit(small_config(), wrong)
-
-
-def test_audit_conjunction_statistic(dataset):
-    report = qc.audit(small_config(statistic="conjunction"), dataset)
-    assert report.trials.x.shape == (4, 1)
-    assert report.trials.y.shape == (4, 1)
-
-
-def test_audit_phi1_evaluation(dataset):
-    report = qc.audit(small_config(eval_encoding="phi1"), dataset)
-    assert report.estimate.epsilon_hat >= 0.0
 
 
 def test_audit_measurement_noise_attaches_shot_theory(dataset):

@@ -1,0 +1,31 @@
+import importlib
+import pathlib
+import sys
+
+import pytest
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def bench_modules(monkeypatch):
+    # the benchmark imports its siblings by bare name, as bench/run.py does
+    monkeypatch.syspath_prepend(str(BENCH))
+    for name in ("checks", "layers", "tracing", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    return importlib.import_module("workloads"), importlib.import_module("tracing")
+
+
+def test_bench_imports_and_traced_names_exist(bench_modules):
+    # a prune that drops a name the benchmark imports or traces fails here,
+    # not later as a broken benchmark run
+    workloads, tracing = bench_modules
+    importlib.import_module("layers")
+    original = workloads.audit_mod.train
+    tracer = tracing.Tracer()
+    try:
+        workloads._install(tracer)
+        assert workloads.audit_mod.train is not original
+    finally:
+        tracer.restore()
+    assert workloads.audit_mod.train is original

@@ -103,11 +103,8 @@ def test_parameter_shift_shared_slot():
 
 def test_noise_slot_counts():
     base = qc.build_real_amplitudes(4, 2)
-    assert len(qc.with_noise_ids(base, "input").noise_slots) == 4
-    assert len(qc.with_noise_ids(base, "input", "global").noise_slots) == 1
-    # placement points with layers: input plus one per RY layer (3 layers)
-    assert len(qc.with_noise_ids(base, "input_and_layers").noise_slots) == 16
-    assert len(qc.with_noise_ids(base, "input_and_layers", "global").noise_slots) == 4
+    assert len(qc.with_noise_ids(base).noise_slots) == 4
+    assert len(qc.with_noise_ids(base, "global").noise_slots) == 1
     with pytest.raises(ValueError):
         qc.with_noise_ids(base, "output")
 
@@ -123,7 +120,7 @@ def test_density_walk_matches_pure_when_noiseless(rng):
 
 
 def test_full_depolarizing_kills_expectation(rng):
-    circ = qc.with_noise_ids(qc.build_real_amplitudes(2, 1), "input", "global")
+    circ = qc.with_noise_ids(qc.build_real_amplitudes(2, 1), "global")
     params = rng.uniform(-1, 1, circ.param_count)
     rho = qc.apply_circuit_density(circ, params, pure_to_density(random_pure(rng, 4)),
                                    qc.NoiseSpec.depolarizing(1.0))

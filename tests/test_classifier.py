@@ -109,14 +109,13 @@ def test_training_under_global_noise_matches_parameter_shift_loop(rng):
     ds = qc.synth_gaussians(2, 6, 3.0, rng)
     states = [qc.angle_encode(x) for x in ds.features]
     labels = ds.labels.astype(float)
-    spec = ModelSpec(qubits=2, ansatz_reps=1, noise=NoiseSpec.depolarizing(0.2),
-                     noise_placement="input_and_layers")
+    spec = ModelSpec(qubits=2, ansatz_reps=1, noise=NoiseSpec.depolarizing(0.2))
     cfg = TrainConfig(epochs=10, learning_rate=0.3, seed=3)
     model = qc.train(states, labels, spec, cfg)
 
-    # a global channel at the input and after both RY layers scales <Z> by
-    # (1 - p)^3; Z is traceless, so there is no offset
-    scale = 0.8**3
+    # a global channel at the input scales <Z> by 1 - p; Z is traceless,
+    # so there is no offset
+    scale = 0.8
     theta = np.random.default_rng(cfg.seed).uniform(-0.1, 0.1, spec.param_count)
     log = []
     for _ in range(cfg.epochs):
@@ -131,17 +130,15 @@ def test_training_under_global_noise_matches_parameter_shift_loop(rng):
 def test_global_noise_scale_matches_density_walk(rng):
     # both scopes: global noise as the scale on <Z>, per-qubit noise
     # inside the effective observable
-    for scope, placement in itertools.product(("global", "per_qubit"),
-                                              ("input", "input_and_layers")):
+    for scope in ("global", "per_qubit"):
         spec = ModelSpec(qubits=3, ansatz_reps=2,
-                         noise=NoiseSpec.depolarizing(0.13, scope=scope),
-                         noise_placement=placement)
+                         noise=NoiseSpec.depolarizing(0.13, scope=scope))
         params = rng.uniform(-1, 1, spec.param_count)
         st = qc.angle_encode(rng.uniform(0, 1, 3))
         model = TrainedModel(spec=spec, params=params, train_log=())
         fast = qc.predict(model, st)
 
-        circ = with_noise_ids(build_real_amplitudes(3, 2), placement, scope)
+        circ = with_noise_ids(build_real_amplitudes(3, 2), scope)
         rho = apply_circuit_density(circ, params, pure_to_density(st), spec.noise)
         z = float(np.trace(np.asarray(z_on_qubit(spec.qubits).matrix) @ rho.mat).real)
         assert fast == pytest.approx((1 + z) / 2, abs=1e-12)
@@ -201,23 +198,6 @@ def test_train_determinism_and_progress(rng):
     assert not np.array_equal(m1.params, m3.params)
 
 
-def test_spsa_training_runs(rng):
-    ds = qc.synth_gaussians(2, 16, 3.0, rng)
-    states = [qc.angle_encode(x) for x in ds.features]
-    spec = ModelSpec(qubits=2, ansatz_reps=1)
-    cfg = TrainConfig(epochs=60, learning_rate=0.4, optimizer="spsa", seed=2)
-    model = qc.train(states, ds.labels, spec, cfg)
-    assert len(model.train_log) == 60
-    assert model.train_log[-1] < model.train_log[0]
-    # deterministic for a fixed seed, with exact and with sampled readout
-    for s in (spec, replace(spec, train_shots=50)):
-        m1, m2 = (qc.train(states, ds.labels, s, cfg) for _ in range(2))
-        assert np.array_equal(m1.params, m2.params)
-        assert np.array_equal(m1.train_log, m2.train_log)
-        assert not np.array_equal(m1.params, qc.train(states, ds.labels, s,
-                                                      replace(cfg, seed=3)).params)
-
-
 def test_under_noise_training_uses_noisy_forward(rng):
     ds = qc.synth_gaussians(2, 12, 3.0, rng)
     states = [qc.angle_encode(x) for x in ds.features]
@@ -256,10 +236,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec(qubits=2, encoding_axis="RZ")
     with pytest.raises(ValueError):
-        ModelSpec(qubits=2, noise_placement="everywhere")
-    with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=5, learning_rate=-0.1)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=5, optimizer="adam")

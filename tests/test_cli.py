@@ -168,8 +168,13 @@ def test_config_error_exits_2_without_output(tmp_path):
     assert not os.path.exists(out)
     # bad values fail the config check before any model trains
     shots = {"noise.kind": "measurement_shots", "noise.shots": 100}
+    # the keys and the kappa rule that were removed from the contract
+    removed = ({"train.optimizer": "gradient_descent"}, {"model.train_shots": None},
+               {"audit.statistic": "per_canary"}, {"audit.eval_encoding": "phi2"},
+               {"audit.kappa_value": 0.5}, {"model.noise_placement": "input"},
+               {"audit.kappa_rule": "fixed"})
     for extra in ({**shots, "audit.theory_delta": 1.5}, {**shots, "audit.theory_r": -1},
-                  {"audit.delta_conf": 1.5}):
+                  {"audit.delta_conf": 1.5}, *removed):
         assert main(["audit", "--config", write_config(tmp_path, extra),
                      "--out", out]) == 2
         assert not os.path.exists(out)
@@ -217,6 +222,11 @@ def test_failed_write_exits_1_without_temp_file(tmp_path):
     cfg = write_config(tmp_path)
     out = str(tmp_path / "r.json")
     assert main(["audit", "--config", cfg, "--out", out, "--series", str(target)]) == 1
+    assert not os.path.exists(out)
+    # a failed report write takes the series it wrote first back out
+    series = str(tmp_path / "s.csv")
+    assert main(["audit", "--config", cfg, "--out", str(target), "--series", series]) == 1
+    assert not os.path.exists(series)
     assert not list(tmp_path.glob("*.tmp-*"))
 
 
@@ -241,6 +251,13 @@ def test_coverage_command(tmp_path):
     assert cov["replications"] == 30
     assert len(cov["seeds"]["per_replication"]) == 30
     assert cov["violation_rate"] <= 0.2
+
+
+def test_coverage_rejects_beta_outside_unit_interval(tmp_path):
+    out = str(tmp_path / "never.json")
+    assert main(["coverage", "--beta", "1.5", "--replications", "2",
+                 "--n", "16", "--out", out]) != 0
+    assert not os.path.exists(out)
 
 
 def test_coverage_zero_replications(capsys):
