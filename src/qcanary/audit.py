@@ -17,8 +17,12 @@ or the paper's empirical-Bernstein bounds. Closed-form upper bounds for
 the depolarizing and finite-shot mechanisms are computed alongside so the
 two directions can be compared.
 
-Trials are independent and keyed by (master seed, trial index), so they
-can run serially or across a process pool with bit-identical results.
+Trials are independent and keyed by (master seed, trial index). They run
+in blocks of TRIAL_BLOCK consecutive trials: every trial of a block draws
+its canaries and initialization from its own stream, the block's models
+train as one stack, and each trial then evaluates from its own stream
+again. A stacked model trains to the same bits as a lone one, so block
+size, order and process placement leave every output bit unchanged.
 """
 
 from __future__ import annotations
@@ -27,12 +31,15 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .classifier import ModelSpec, TrainConfig, eval_model, evaluate_losses, train
+from .classifier import (ModelSpec, TrainConfig, _stack_states, _train_stack, eval_model,
+                         evaluate_losses, train)
 from .data import Dataset
-from .encoding import OffsetSpec, angle_encode, angle_encode_offset, sample_offsets
+from .encoding import OffsetSpec, _encode_rows, sample_offsets
+from .encoding import angle_encode, angle_encode_offset  # noqa: F401  (bench traces them as encoding.encode)
 from .noise import NoiseSpec
 
 KAPPA_RULES = ("reference", "calibrated_median")
@@ -45,6 +52,9 @@ MU_FLOOR = 1e-3
 # Ramdas suggest c in {1/2, 3/4}; on the synthetic harness 3/4 certifies
 # much smaller rate gaps than 1/2 at n = 64 (power table in CHANGES.md)
 BET_CLIP = 0.75
+# consecutive trials whose models train in one stack; a block is also the
+# unit of work handed to a pool worker
+TRIAL_BLOCK = 8
 
 
 class DomainError(ValueError):
@@ -425,8 +435,8 @@ def _kappa_seed_seq(config: AuditConfig) -> np.random.SeedSequence:
     return np.random.SeedSequence(config.seed, spawn_key=(1,))
 
 
-def _encode_base(dataset: Dataset, axis: str):
-    return [angle_encode(row, axis) for row in dataset.features]
+def _encode_base(dataset: Dataset, axis: str) -> np.ndarray:
+    return _encode_rows(dataset.features, axis)
 
 
 def run_trial(trial_index: int, config: AuditConfig, dataset: Dataset,
@@ -438,77 +448,94 @@ def run_trial(trial_index: int, config: AuditConfig, dataset: Dataset,
     compares each canary's loss with its loss under the trial's reference
     model, 'calibrated_median' resolves a global kappa via calibrate_kappa.
     The trial's entire randomness derives from (config.seed, trial_index),
-    so any execution order or process placement yields the same rows.
+    so any execution order, block or process placement yields the same rows.
     """
     base_states = _encode_base(dataset, config.model.encoding_axis)
-    x_row, y_row, _ = _run_trial(trial_index, config, dataset, kappa, base_states)
+    [(x_row, y_row, _)] = _run_block(range(trial_index, trial_index + 1), config,
+                                     dataset, kappa, base_states)
     return x_row, y_row
 
 
-def _run_trial(trial_index: int, config: AuditConfig, dataset: Dataset,
-               kappa: float | None, base_states: list):
-    """run_trial's rows plus the per-canary thresholds, seen then unseen,
-    under the reference rule (None under a global kappa). base_states are
-    the dataset's features, encoded once per audit."""
+def _run_block(indices: range, config: AuditConfig, dataset: Dataset,
+               kappa: float | None, base_states: np.ndarray) -> list:
+    """run_trial's rows for consecutive trials, each with its per-canary
+    thresholds, seen then unseen, under the reference rule (None under a
+    global kappa). base_states are the dataset's amplitude rows, encoded
+    once per audit."""
     if kappa is None and config.kappa_rule != "reference":
         kappa = calibrate_kappa(dataset, config)
     K, m, axis = config.K, dataset.feature_count, config.model.encoding_axis
-    rng = np.random.default_rng(_trial_seed_seq(config, trial_index))
-
-    feats, labels = generate_canaries(dataset, 2 * K, rng)
     spec_off = OffsetSpec(d=config.d, delta_conf=config.delta_conf)
-    train_offsets = np.stack([sample_offsets(spec_off, m, rng) for _ in range(K)])
-    eval_offsets = np.stack([sample_offsets(spec_off, m, rng) for _ in range(K)])
 
-    # adjacency is guaranteed by clipping; refuse to continue if it ever
-    # fails, since epsilon_hat is meaningless without it
-    worst = max(np.abs(np.sin(train_offsets / 2.0)).max(),
-                np.abs(np.sin(eval_offsets / 2.0)).max())
-    if worst > config.d + 1e-12:
-        raise ValueError(f"canary adjacency violated: {worst} > d = {config.d}")
+    # 1. each trial's draws, from its own stream in the order of a lone trial
+    draws = []
+    for index in indices:
+        rng = np.random.default_rng(_trial_seed_seq(config, index))
+        feats, labels = generate_canaries(dataset, 2 * K, rng)
+        train_offsets = np.stack([sample_offsets(spec_off, m, rng) for _ in range(K)])
+        eval_offsets = np.stack([sample_offsets(spec_off, m, rng) for _ in range(K)])
 
-    base_labels = dataset.labels
-    seen_feats, seen_labels = feats[:K], labels[:K]
-    unseen_feats, unseen_labels = feats[K:], labels[K:]
+        # adjacency is guaranteed by clipping; refuse to continue if it ever
+        # fails, since epsilon_hat is meaningless without it
+        worst = max(np.abs(np.sin(train_offsets / 2.0)).max(),
+                    np.abs(np.sin(eval_offsets / 2.0)).max())
+        if worst > config.d + 1e-12:
+            raise ValueError(f"canary adjacency violated: {worst} > d = {config.d}")
 
-    seen_phi1 = [angle_encode(f, axis) for f in seen_feats]
-    seen_phi2 = [angle_encode_offset(f, a, axis)
-                 for f, a in zip(seen_feats, train_offsets)]
-    labels_aug = np.concatenate([base_labels, seen_labels])
+        # the initialization depends on the trial seed alone, never on which
+        # canaries are seen, and all models of the trial share it
+        init_seed = int(rng.integers(2**63))
+        draws.append((rng, feats, labels, train_offsets, eval_offsets, init_seed))
+    rngs, feats, labels, train_offsets, eval_offsets, init_seeds = zip(*draws)
+    T, feats, labels = len(draws), np.stack(feats), np.stack(labels)
+    seen_feats = feats[:, :K].reshape(T * K, m)
+    seen_phi1 = _encode_rows(seen_feats, axis).reshape(T, K, -1)
+    seen_phi2 = _encode_rows(seen_feats, axis, np.concatenate(train_offsets)).reshape(T, K, -1)
+    unseen_phi2 = _encode_rows(feats[:, K:].reshape(T * K, m), axis,
+                               np.concatenate(eval_offsets)).reshape(T, K, -1)
 
-    # the initialization depends on the trial seed alone, never on which
-    # canaries are seen, and all models of the trial share it
-    init_seed = int(rng.integers(2**63))
-    tcfg = replace(config.train, seed=init_seed)
-    theta0 = train(base_states + seen_phi1, labels_aug, config.model, tcfg)
-    theta1 = train(base_states + seen_phi2, labels_aug, config.model, tcfg)
+    # 2. theta0 (on phi1) and theta1 (on phi2) of every trial in one stack,
+    # and under the reference rule the canary-free references in another
+    dim = config.model.dim
+    base_labels = np.broadcast_to(dataset.labels, (T, dataset.size))
+    paired = np.stack([_stack_states(np.concatenate([base_states, canaries]), dim)
+                       for t in range(T) for canaries in (seen_phi1[t], seen_phi2[t])])
+    labels_aug = np.concatenate([base_labels, labels[:, :K]], axis=1).repeat(2, axis=0)
+    models = _train_stack(paired, labels_aug, config.model, config.train,
+                          [seed for seed in init_seeds for _ in range(2)])
+    if kappa is None:
+        base_T = _stack_states(base_states, dim)
+        references = _train_stack(np.broadcast_to(base_T, (T, *base_T.shape)), base_labels,
+                                  config.model, config.train, list(init_seeds))
 
-    # theta1 is scored on the very states it trained on, theta0 on fresh
-    # offset-encoded canaries
-    unseen_phi2 = [angle_encode_offset(f, a, axis)
-                   for f, a in zip(unseen_feats, eval_offsets)]
+    # 3. each trial's evaluation, from its own stream in the order of a lone trial
+    rows = []
+    for t, rng in enumerate(rngs):
+        seen_labels, unseen_labels = labels[t, :K], labels[t, K:]
+        # theta1 is scored on the very states it trained on, theta0 on fresh
+        # offset-encoded canaries
+        x_losses = evaluate_losses(eval_model(models[2 * t + 1], config.noise),
+                                   seen_phi2[t], seen_labels, rng)
+        y_losses = evaluate_losses(eval_model(models[2 * t], config.noise),
+                                   unseen_phi2[t], unseen_labels, rng)
+        if kappa is not None:
+            rows.append(((x_losses < kappa).astype(np.uint8),
+                         (y_losses < kappa).astype(np.uint8), None))
+            continue
 
-    x_losses = evaluate_losses(eval_model(theta1, config.noise),
-                               seen_phi2, seen_labels, rng)
-    y_losses = evaluate_losses(eval_model(theta0, config.noise),
-                               unseen_phi2, unseen_labels, rng)
-    if kappa is not None:
-        return ((x_losses < kappa).astype(np.uint8),
-                (y_losses < kappa).astype(np.uint8), None)
-
-    # the reference sees the base data only, so its losses are a
-    # canary-independent post-processing of the trial's initialization
-    reference = eval_model(train(base_states, base_labels, config.model, tcfg),
-                           config.noise)
-    x_ref = evaluate_losses(reference, seen_phi2, seen_labels, rng)
-    y_ref = evaluate_losses(reference, unseen_phi2, unseen_labels, rng)
-    return ((x_losses < x_ref).astype(np.uint8),
-            (y_losses < y_ref).astype(np.uint8),
-            np.concatenate([x_ref, y_ref]))
+        # the reference sees the base data only, so its losses are a
+        # canary-independent post-processing of the trial's initialization
+        reference = eval_model(references[t], config.noise)
+        x_ref = evaluate_losses(reference, seen_phi2[t], seen_labels, rng)
+        y_ref = evaluate_losses(reference, unseen_phi2[t], unseen_labels, rng)
+        rows.append(((x_losses < x_ref).astype(np.uint8),
+                     (y_losses < y_ref).astype(np.uint8),
+                     np.concatenate([x_ref, y_ref])))
+    return rows
 
 
 def _calibration(dataset: Dataset, config: AuditConfig,
-                 base_states: list | None = None):
+                 base_states: np.ndarray | None = None):
     """Reference-model kappa and the smallest outcome probability.
 
     The reference model trains on the dataset alone (base_states, its
@@ -527,8 +554,8 @@ def _calibration(dataset: Dataset, config: AuditConfig,
 
     feats, labels = generate_canaries(dataset, CALIBRATION_CANARIES, rng)
     spec_off = OffsetSpec(d=config.d, delta_conf=config.delta_conf)
-    states = [angle_encode_offset(f, sample_offsets(spec_off, dataset.feature_count, rng), axis)
-              for f in feats]
+    offsets = np.stack([sample_offsets(spec_off, dataset.feature_count, rng) for _ in feats])
+    states = _encode_rows(feats, axis, offsets)
 
     losses = evaluate_losses(eval_model(reference, config.noise), states, labels, rng)
     kappa = float(np.median(losses))
@@ -573,11 +600,6 @@ def _theory_for(config: AuditConfig, mu_est: float | None) -> dict:
     return {"kind": "none", "epsilon": None}
 
 
-def _trial_task(args):
-    index, config, dataset, kappa, base_states = args
-    return (index, *_run_trial(index, config, dataset, kappa, base_states))
-
-
 def audit(config: AuditConfig, dataset: Dataset, workers: int = 1) -> AuditReport:
     """Run the full audit and return the report with its epsilon estimate.
 
@@ -599,15 +621,18 @@ def audit(config: AuditConfig, dataset: Dataset, workers: int = 1) -> AuditRepor
         kappa = None
     t1 = time.perf_counter()
 
-    tasks = [(i, config, dataset, kappa, base_states) for i in range(config.n)]
+    blocks = [range(start, min(start + TRIAL_BLOCK, config.n))
+              for start in range(0, config.n, TRIAL_BLOCK)]
+    run_block = partial(_run_block, config=config, dataset=dataset, kappa=kappa,
+                        base_states=base_states)
     if workers > 1:
-        rows: list = [None] * config.n
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, config.n // (workers * 4))
-            for index, *row in pool.map(_trial_task, tasks, chunksize=chunk):
-                rows[index] = row
+        # the fork context starts every worker at once, so start no more
+        # than there are blocks to hand out
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+            done = list(pool.map(run_block, blocks))
     else:
-        rows = [_trial_task(t)[1:] for t in tasks]
+        done = [run_block(block) for block in blocks]
+    rows = [row for block_rows in done for row in block_rows]
     x = np.stack([r[0] for r in rows])
     y = np.stack([r[1] for r in rows])
     if kappa is None:

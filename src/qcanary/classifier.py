@@ -5,16 +5,20 @@ a fixed readout, <Z> on qubit 0, mapped to a class probability
 p = (1 + <Z>)/2 and binary cross-entropy loss. Training is full-batch
 gradient descent on exact adjoint gradients.
 
-One engine serves every path. A privacy audit retrains the model hundreds
-of times, so the _Engine below builds all layer unitaries of a parameter
-vector with one broadcast Kronecker product and walks the observable back
-through them, per-qubit channels included, to the effective observable A
-with <Z> = psi^dagger A psi. Evaluation reads every state through A;
-global noise and shots then act on <Z>. A gradient step reuses the
-observables of that walk and adds one walk forward from the data, so its
-cost does not grow with the parameter count. RY, CX and Z are real, so
-all of it runs in float64; complex values come only from RX inputs. The
-circuits module is the reference these paths are tested against.
+One engine serves every path, and it works on stacks of models. A privacy
+audit retrains the model hundreds of times, so the _Engine below takes S
+parameter vectors at once, builds all their layer unitaries with one
+broadcast Kronecker product, and walks the observable back through them,
+per-qubit channels included, to the effective observables A_s with
+<Z> = psi^dagger A_s psi. Evaluation reads every state through A; global
+noise and shots then act on <Z>. A gradient step reuses the observables
+of that walk and adds one walk forward from the data, so its cost does
+not grow with the parameter count, and one step advances all S models:
+model s sees only its own slice of every stacked matmul, so a stack
+trains each model to the same bits as training it alone, and a single
+model is the S = 1 case. RY, CX and Z are real, so all of it runs in
+float64; complex values come only from RX inputs. The circuits module is
+the reference these paths are tested against.
 """
 
 from __future__ import annotations
@@ -137,27 +141,33 @@ class _Engine:
         return out
 
     def layers(self, theta: np.ndarray) -> np.ndarray:
-        """The reps + 1 layer unitaries of one parameter vector: the first
-        RY layer, then each later RY layer times the CX chain before it."""
-        layers = self._ry_layer(np.reshape(theta, (self.reps + 1, self.n)))
-        layers[1:] = layers[1:] @ self.chain
+        """(S, P) parameter vectors -> (S, reps + 1, dim, dim): per model,
+        the first RY layer, then each later RY layer times the CX chain
+        before it."""
+        S, L = theta.shape[0], self.reps + 1
+        layers = self._ry_layer(np.reshape(theta, (S * L, self.n)))
+        layers = layers.reshape(S, L, self.dim, self.dim)
+        layers[:, 1:] = layers[:, 1:] @ self.chain
         return layers
 
     def walk_back(self, layers: np.ndarray, per_qubit_p: float | None = None):
-        """The readout walked back through the ansatz, last layer first.
+        """The readout walked back through each model's ansatz, last layer first.
 
-        Returns (after, A): after[l] is the observable the state sees just
-        after layer l, and A the one the input state sees, so that
-        <Z> = psi^dagger A psi. Each layer V (real, so V^dagger = V^T)
+        Returns (after, A): after[l] is the observable the states see just
+        after layer l, (S, dim, dim) (the shared readout for the last
+        layer), and A the (S, dim, dim) one the input states see, so that
+        <Z> = psi^dagger A_s psi. Each layer V (real, so V^dagger = V^T)
         maps A to V^T A V. With per_qubit_p, a per-qubit depolarizing
         channel (a Pauli channel, its own adjoint) acts on A at the input,
         where it acts on the state.
         """
-        after = [None] * len(layers)
+        L = layers.shape[1]
+        after = [None] * L
         A = self.obs
-        for layer in range(len(layers) - 1, -1, -1):
+        for layer in range(L - 1, -1, -1):
             after[layer] = A
-            A = layers[layer].T @ A @ layers[layer]
+            V = layers[:, layer]
+            A = V.transpose(0, 2, 1) @ A @ V
         if per_qubit_p is not None:
             for q in range(self.n):
                 A = _depolarize_qubit_mat(A, q, per_qubit_p)
@@ -165,8 +175,9 @@ class _Engine:
 
     def generator_traces(self, M: np.ndarray) -> np.ndarray:
         """2 Re tr(G_q M_l) for every layer l and qubit q, in slot order,
-        as a signed gather over the (layers, dim, dim) stack M."""
-        return (self.sign * M[:, self.flip, self.cols]).sum(axis=-1).real.ravel()
+        as a signed gather over the (S, layers, dim, dim) stack M -> (S, P)."""
+        traces = (self.sign * M[..., self.flip, self.cols]).sum(axis=-1).real
+        return traces.reshape(M.shape[0], -1)
 
 
 _engine_cache: dict = {}
@@ -180,14 +191,18 @@ def _engine_for(spec: ModelSpec) -> _Engine:
 
 
 def _stack_states(states, dim: int) -> np.ndarray:
-    """Stack encoded inputs into a (dim, B) array, real when possible."""
-    vecs = []
-    for s in states:
-        v = s.amps if isinstance(s, PureState) else np.asarray(s)
-        if v.shape != (dim,):
-            raise ValueError(f"need pure states of dim {dim}, got {type(s).__name__} {v.shape}")
-        vecs.append(v)
-    block = np.stack(vecs, axis=1)
+    """Encoded inputs, a sequence of states or a (B, dim) array of
+    amplitude rows, as a contiguous (dim, B) block, real when possible."""
+    if isinstance(states, np.ndarray) and states.ndim == 2 and states.shape[1] == dim:
+        block = states.T
+    else:
+        vecs = []
+        for s in states:
+            v = s.amps if isinstance(s, PureState) else np.asarray(s)
+            if v.shape != (dim,):
+                raise ValueError(f"need pure states of dim {dim}, got {type(s).__name__} {v.shape}")
+            vecs.append(v)
+        block = np.stack(vecs, axis=1)
     if np.iscomplexobj(block) and np.abs(block.imag).max() == 0.0:
         block = block.real
     return np.ascontiguousarray(block)
@@ -219,24 +234,28 @@ def _sample_z(z_exact: np.ndarray, shots: int, rng: np.random.Generator) -> np.n
 
 
 def _effective_observable(spec: ModelSpec, params: np.ndarray, noisy: bool) -> np.ndarray:
-    """A with <Z> = psi^dagger A psi, per-qubit channels included when noisy."""
+    """A with <Z> = psi^dagger A psi, per-qubit channels included when
+    noisy, as the (1, dim, dim) stack of one model."""
     engine, noise = _engine_for(spec), spec.noise
     per_qubit = noisy and noise.kind == "depolarizing" and noise.scope == "per_qubit"
-    _, A = engine.walk_back(engine.layers(params), noise.p if per_qubit else None)
+    _, A = engine.walk_back(engine.layers(np.reshape(params, (1, -1))),
+                            noise.p if per_qubit else None)
     if np.iscomplexobj(A) and not A.imag.any():
         A = A.real
     return A
 
 
-def _read_z(A: np.ndarray, states_T: np.ndarray) -> np.ndarray:
-    """z_b = psi_b^dagger A psi_b for every column psi_b of states_T."""
-    return np.einsum("ib,ib->b", states_T.conj(), A @ states_T).real
+def _read_z(A: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """z[s, b] = psi^dagger A_s psi for every column psi of states[s]:
+    (S, dim, dim) observables and (S, dim, B) states -> (S, B)."""
+    return np.einsum("sib,sib->sb", states.conj(), A @ states).real
 
 
 def _batch_z(spec: ModelSpec, params: np.ndarray, states,
              noisy: bool, rng: np.random.Generator | None) -> np.ndarray:
     """<Z> per state under the model's noise regime (when noisy=True)."""
-    z = _read_z(_effective_observable(spec, params, noisy), _stack_states(states, spec.dim))
+    states_T = _stack_states(states, spec.dim)
+    z = _read_z(_effective_observable(spec, params, noisy), states_T[None])[0]
     if not noisy:
         return z
     z = _noise_scale(spec) * z
@@ -267,9 +286,11 @@ def loss(model: TrainedModel, state, label: int,
 
 def evaluate_losses(model: TrainedModel, states, labels,
                     rng: np.random.Generator | None = None) -> np.ndarray:
-    """Per-input losses, in input order, under the model's noise spec."""
+    """Per-input losses, in input order, under the model's noise spec.
+
+    states is a sequence of encoded states or a (B, dim) array of
+    amplitude rows."""
     labels = np.asarray(labels, dtype=float).ravel()
-    states = list(states)
     if len(states) == 0:
         raise ValueError("no states to evaluate")
     if len(states) != labels.size:
@@ -291,20 +312,21 @@ def loss_gradient(spec: ModelSpec, params: np.ndarray, states, labels) -> np.nda
     One walk back from the readout and one walk forward from the data,
     whatever the parameter count (see _gd_step_values).
     """
-    params = np.asarray(params, dtype=float)
-    labels = np.asarray(labels, dtype=float).ravel()
-    engine = _engine_for(spec)
+    theta = np.asarray(params, dtype=float).reshape(1, -1)
+    labels = np.asarray(labels, dtype=float).reshape(1, -1)
     states_T = _stack_states(states, spec.dim)
-    _, grad = _gd_step_values(engine, params, states_T, labels, 1.0)
-    return grad
+    _, grad = _gd_step_values(_engine_for(spec), theta, states_T[None], labels, 1.0)
+    return grad[0]
 
 
-def _gd_step_values(engine: _Engine, theta: np.ndarray, states_T: np.ndarray,
+def _gd_step_values(engine: _Engine, theta: np.ndarray, states: np.ndarray,
                     labels: np.ndarray, scale: float):
-    """One epoch's (mean loss, gradient) at theta, by the adjoint method.
+    """One epoch's (mean loss, gradient) for each of S models, by the adjoint method.
 
-    The loss is evaluated with <Z> scaled by the global-noise scale; the circuit
-    derivative dz/dtheta stays noiseless by contract, so the gradient is
+    theta is (S, P), states (S, dim, B) and labels (S, B); returns the
+    (S,) losses and the (S, P) gradients. The loss is evaluated with <Z>
+    scaled by the global-noise scale; the circuit derivative dz/dtheta
+    stays noiseless by contract, so the gradient is
     0.5 * mean_b(dL/dp_b * dz_b/dtheta) (Jones & Gacon, arXiv:2009.02823).
 
     The walk back from the readout gives A_l, the observable seen just
@@ -312,20 +334,22 @@ def _gd_step_values(engine: _Engine, theta: np.ndarray, states_T: np.ndarray,
     only through C = sum_b w_b psi_b psi_b^dagger, w_b = 0.5 dL/dp_b / B,
     which the walk forward turns into S_l, the weighted states just after
     layer l. The RY on qubit q in layer l has derivative G_q RY, with
-    G_q = -iY_q/2, so that slot's entry is 2 Re tr(A_l G_q S_l).
+    G_q = -iY_q/2, so that slot's entry is 2 Re tr(A_l G_q S_l). Every
+    product is a stacked matmul, one GEMM per model.
     """
     layers = engine.layers(theta)
     after, A = engine.walk_back(layers)
-    p = _probs_from_z(scale * _read_z(A, states_T))
+    p = _probs_from_z(scale * _read_z(A, states))
     dldp = -labels / p + (1.0 - labels) / (1.0 - p)
-    S = (states_T * (0.5 * dldp / labels.size)) @ states_T.conj().T
+    weighted = states * (0.5 * dldp / labels.shape[-1])[:, None, :]
+    S = weighted @ states.conj().transpose(0, 2, 1)
     # tr(A G S) = tr(G M) with M = S A
     M = np.empty(layers.shape, dtype=np.result_type(S, A))
-    for layer, V in enumerate(layers):
-        S = V @ S @ V.T
-        np.matmul(S, after[layer], out=M[layer])
-    grad = engine.generator_traces(M)
-    return float(_bce(p, labels).mean()), grad
+    for layer in range(layers.shape[1]):
+        V = layers[:, layer]
+        S = V @ S @ V.transpose(0, 2, 1)
+        np.matmul(S, after[layer], out=M[:, layer])
+    return _bce(p, labels).mean(axis=-1), engine.generator_traces(M)
 
 
 def train(states, labels, spec: ModelSpec, cfg: TrainConfig) -> TrainedModel:
@@ -337,31 +361,39 @@ def train(states, labels, spec: ModelSpec, cfg: TrainConfig) -> TrainedModel:
     fixed seed, which draws the initialization.
     """
     labels = np.asarray(labels, dtype=float).ravel()
-    states = list(states)
     if len(states) == 0:
         raise ValueError("cannot train on an empty dataset")
     if len(states) != labels.size:
         raise ValueError("states and labels differ in length")
+    states_T = _stack_states(states, spec.dim)
+    return _train_stack(states_T[None], labels[None], spec, cfg, [cfg.seed])[0]
+
+
+def _train_stack(states: np.ndarray, labels: np.ndarray, spec: ModelSpec,
+                 cfg: TrainConfig, seeds) -> list:
+    """train() for S models at once, one stacked gradient step per epoch.
+
+    Model s fits the columns of states[s] (states is (S, dim, B)) to
+    labels[s] from the initialization seeds[s] draws; cfg.seed is unused.
+    Each model ends on the same bits as train() gives it alone.
+    """
+    labels = np.asarray(labels, dtype=float)
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise ValueError("labels must be 0 or 1")
-
-    rng = np.random.default_rng(cfg.seed)
-    theta = rng.uniform(-0.1, 0.1, spec.param_count)
-    engine = _engine_for(spec)
-    states_T = _stack_states(states, spec.dim)
-
     if spec.noise.kind == "depolarizing" and spec.noise.scope == "per_qubit":
         raise NotImplementedError(
             "training under per-qubit depolarizing noise is not supported; "
             "use global scope or evaluate noise at audit time only")
-    scale = _noise_scale(spec)
+    engine, scale = _engine_for(spec), _noise_scale(spec)
+    theta = np.stack([np.random.default_rng(seed).uniform(-0.1, 0.1, spec.param_count)
+                      for seed in seeds])
 
-    log = np.empty(cfg.epochs)
+    log = np.empty((len(seeds), cfg.epochs))
     for epoch in range(cfg.epochs):
-        log[epoch], grad = _gd_step_values(engine, theta, states_T, labels, scale)
+        log[:, epoch], grad = _gd_step_values(engine, theta, states, labels, scale)
         theta = theta - cfg.learning_rate * grad
 
-    return TrainedModel(spec=spec, params=theta, train_log=log)
+    return [TrainedModel(spec=spec, params=t, train_log=l) for t, l in zip(theta, log)]
 
 
 def eval_model(model: TrainedModel, noise: NoiseSpec) -> TrainedModel:

@@ -322,6 +322,8 @@ def cmd_bounds(args) -> int:
 def cmd_coverage(args) -> int:
     if args.replications < 0:
         raise ConfigError("--replications must be nonnegative")
+    if not 0.0 < args.beta < 1.0:
+        raise ConfigError(f"--beta {args.beta} not in (0, 1)")
     violations = 0
     estimates = []
     rep_seeds = []
@@ -363,6 +365,8 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare.ks must list positive canary counts")
     if doc["compare.replications"] < 1:
         raise ConfigError("compare.replications must be at least 1")
+    if not 0.0 < doc["compare.beta"] < 1.0:
+        raise ConfigError(f"compare.beta {doc['compare.beta']} not in (0, 1)")
 
     qml_trials = doc["compare.qml_trials"]
     base_config = dataset = None

@@ -75,20 +75,29 @@ class OffsetSpec:
             raise ValueError(f"gamma {self.gamma} violates the bound {g_max}")
 
 
-def _single_qubit(theta: float, axis: str) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+def _encode_rows(features: np.ndarray, axis: str, offsets=None) -> np.ndarray:
+    """(B, m) features -> (B, 2^m) amplitudes of their product encodings.
+
+    Row b puts angle pi * features[b, j] (+ offsets[b, j]) on qubit j,
+    features clamped to [0, 1], and multiplies the qubits out as broadcast
+    outer products in np.kron order (qubit 0 most significant). Real for
+    RY; complex for RX, whose |1> amplitude is -i sin(theta / 2).
+    """
+    angles = math.pi * np.clip(features, 0.0, 1.0)
+    if offsets is not None:
+        angles = angles + offsets
+    half = angles / 2.0
     if axis == "RY":
-        return np.array([c, s], dtype=complex)
-    if axis == "RX":
-        return np.array([c, -1j * s], dtype=complex)
-    raise ValueError(f"unsupported encoding axis {axis!r}")
-
-
-def _product_state(angles: np.ndarray, axis: str) -> PureState:
-    amps = np.array([1.0 + 0.0j])
-    for theta in angles:
-        amps = np.kron(amps, _single_qubit(float(theta), axis))
-    return PureState(amps)
+        factors = np.stack([np.cos(half), np.sin(half)], axis=-1)
+    elif axis == "RX":
+        factors = np.stack([np.cos(half) + 0j, -1j * np.sin(half)], axis=-1)
+    else:
+        raise ValueError(f"unsupported encoding axis {axis!r}")
+    rows = angles.shape[0]
+    amps = factors[:, 0]
+    for q in range(1, angles.shape[1]):
+        amps = (amps[:, :, None] * factors[:, q, None, :]).reshape(rows, -1)
+    return amps
 
 
 def angle_encode(x, axis: str = "RY") -> PureState:
@@ -100,7 +109,7 @@ def angle_encode(x, axis: str = "RY") -> PureState:
     v = np.asarray(x, dtype=float).ravel()
     if v.size == 0:
         raise ValueError("cannot encode an empty feature vector")
-    return _product_state(math.pi * np.clip(v, 0.0, 1.0), axis)
+    return PureState(_encode_rows(v[None], axis)[0])
 
 
 def angle_encode_offset(c, alpha, axis: str = "RY") -> PureState:
@@ -111,7 +120,7 @@ def angle_encode_offset(c, alpha, axis: str = "RY") -> PureState:
         raise ValueError("cannot encode an empty feature vector")
     if cv.shape != av.shape:
         raise ValueError(f"feature/offset length mismatch: {cv.shape} vs {av.shape}")
-    return _product_state(math.pi * np.clip(cv, 0.0, 1.0) + av, axis)
+    return PureState(_encode_rows(cv[None], axis, av[None])[0])
 
 
 def sample_offsets(spec: OffsetSpec, m: int, rng: np.random.Generator) -> np.ndarray:

@@ -75,7 +75,7 @@ def _depolarize_global_mat(mat: np.ndarray, p: float) -> np.ndarray:
 
 
 def _depolarize_qubit_mat(mat: np.ndarray, qubit: int, p: float) -> np.ndarray:
-    n = mat.shape[0].bit_length() - 1
+    n = mat.shape[-1].bit_length() - 1
     out = (1.0 - p) * mat
     for pauli in (_X, _Y, _Z):
         full = _embed_1q(pauli, qubit, n)

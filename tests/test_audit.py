@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 
@@ -345,6 +346,45 @@ def test_worker_pool_matches_serial(dataset):
     assert np.array_equal(serial.trials.x, pooled.trials.x)
     assert np.array_equal(serial.trials.y, pooled.trials.y)
     assert serial.estimate == pooled.estimate
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec.depolarizing(0.05), NoiseSpec.measurement(400)])
+def test_audit_does_not_depend_on_block_size(dataset, monkeypatch, noise):
+    # 3 does not divide n = 8, so the last block is short; under shots each
+    # trial's evaluation draws must still come from its own stream in order
+    cfg = small_config(n=8, noise=noise)
+    default = qc.audit(cfg, dataset)
+    audit_module = importlib.import_module("qcanary.audit")
+    for block in (1, 3):
+        monkeypatch.setattr(audit_module, "TRIAL_BLOCK", block)
+        for workers in (1, 2):
+            report = qc.audit(cfg, dataset, workers=workers)
+            assert np.array_equal(report.trials.x, default.trials.x), (block, workers)
+            assert np.array_equal(report.trials.y, default.trials.y), (block, workers)
+            assert report.kappa == default.kappa
+            assert report.estimate == default.estimate
+    for i in range(cfg.n):
+        x_row, y_row = qc.run_trial(i, cfg, dataset)
+        assert np.array_equal(x_row, default.trials.x[i])
+        assert np.array_equal(y_row, default.trials.y[i])
+
+
+def test_pool_starts_no_more_workers_than_blocks(dataset, monkeypatch):
+    audit_module = importlib.import_module("qcanary.audit")
+    started = []
+
+    class RecordingPool(audit_module.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(audit_module, "ProcessPoolExecutor", RecordingPool)
+    serial = qc.audit(small_config(n=8), dataset)
+    pooled = qc.audit(small_config(n=8), dataset, workers=4)
+    # one block of eight trials: the pool still runs it, in one worker
+    assert started == [1]
+    assert np.array_equal(serial.trials.x, pooled.trials.x)
+    assert np.array_equal(serial.trials.y, pooled.trials.y)
 
 
 def test_fully_private_oracle_audits_to_zero(dataset):

@@ -7,7 +7,7 @@ import pytest
 
 import qcanary as qc
 from qcanary import ModelSpec, NoiseSpec, TrainConfig, TrainedModel
-from qcanary.classifier import loss_gradient, mean_loss
+from qcanary.classifier import _stack_states, _train_stack, loss_gradient, mean_loss
 from qcanary.circuits import (apply_circuit_density, build_real_amplitudes, expectation,
                               parameter_shift_gradient, with_noise_ids, z_on_qubit)
 from qcanary.states import pure_to_density
@@ -196,6 +196,26 @@ def test_train_determinism_and_progress(rng):
     assert m1.train_log[-1] < m1.train_log[0]
     m3 = qc.train(states, ds.labels, spec, TrainConfig(epochs=25, learning_rate=0.3, seed=6))
     assert not np.array_equal(m1.params, m3.params)
+
+
+@pytest.mark.parametrize("axis", ["RY", "RX"])
+@pytest.mark.parametrize("noise", [NoiseSpec.none(), NoiseSpec.depolarizing(0.2)])
+def test_stacked_training_matches_one_model_at_a_time(rng, axis, noise):
+    # each model of a stack sees only its own slice of every matmul, so
+    # the stack must reproduce train() on that model alone, bit for bit
+    spec = ModelSpec(qubits=3, ansatz_reps=2, encoding_axis=axis, noise=noise)
+    cfg = TrainConfig(epochs=12, learning_rate=0.3)
+    for S in (1, 2, 5):
+        data = [[qc.angle_encode(rng.uniform(0, 1, 3), axis) for _ in range(9)]
+                for _ in range(S)]
+        labels = rng.integers(0, 2, size=(S, 9)).astype(float)
+        seeds = [int(seed) for seed in rng.integers(2**63, size=S)]
+        states = np.stack([_stack_states(d, spec.dim) for d in data])
+        stacked = _train_stack(states, labels, spec, cfg, seeds)
+        for s in range(S):
+            alone = qc.train(data[s], labels[s], spec, replace(cfg, seed=seeds[s]))
+            assert np.array_equal(stacked[s].params, alone.params), (S, s)
+            assert np.array_equal(stacked[s].train_log, alone.train_log), (S, s)
 
 
 def test_under_noise_training_uses_noisy_forward(rng):

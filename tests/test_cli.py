@@ -260,6 +260,14 @@ def test_coverage_rejects_beta_outside_unit_interval(tmp_path):
     assert not os.path.exists(out)
 
 
+def test_coverage_checks_beta_before_any_replication(tmp_path):
+    # with no replications no estimate runs, so the flag is checked up front
+    for beta in ("1.5", "0.0"):
+        out = str(tmp_path / "never.json")
+        assert main(["coverage", "--beta", beta, "--replications", "0", "--out", out]) == 2
+        assert not os.path.exists(out)
+
+
 def test_coverage_zero_replications(capsys):
     assert main(["coverage", "--replications", "0"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -289,6 +297,16 @@ def test_compare_rejects_no_replications(tmp_path):
     out = str(tmp_path / "never.json")
     assert main(["compare", "--config", str(cfg), "--out", out]) == 2
     assert not os.path.exists(out)
+
+
+def test_compare_rejects_beta_outside_unit_interval(tmp_path):
+    for beta in (1.5, 0.0):
+        cfg = tmp_path / "cmp.json"
+        cfg.write_text(json.dumps({"compare.ks": [4], "compare.replications": 2,
+                                   "compare.beta": beta}))
+        out = str(tmp_path / "never.json")
+        assert main(["compare", "--config", str(cfg), "--out", out]) == 2
+        assert not os.path.exists(out)
 
 
 def test_usage_error_exit_code():

@@ -5,6 +5,8 @@ import pytest
 
 import qcanary as qc
 from qcanary import OffsetSpec
+from qcanary.classifier import _stack_states
+from qcanary.encoding import _encode_rows
 
 
 # width bounds ---------------------------------------------------------------
@@ -89,6 +91,44 @@ def test_offset_encoding_shifts_angle():
     direct = math.pi * x + alpha
     assert np.allclose(shifted.amps, [math.cos(direct / 2), math.sin(direct / 2)],
                        atol=1e-14)
+
+
+def _kron_encoding(features, offsets, axis):
+    """The product state built qubit by qubit with np.kron."""
+    angles = math.pi * np.clip(features, 0.0, 1.0)
+    if offsets is not None:
+        angles = angles + offsets
+    amps = np.array([1.0 + 0.0j])
+    for theta in angles:
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        qubit = [c, s] if axis == "RY" else [c, -1j * s]
+        amps = np.kron(amps, np.array(qubit, dtype=complex))
+    return amps
+
+
+@pytest.mark.parametrize("axis", ["RY", "RX"])
+def test_block_encoder_matches_kron_reference(rng, axis):
+    m, dim = 4, 16
+    # features beyond [0, 1] clamp at both ends
+    feats = rng.uniform(-0.3, 1.3, size=(40, m))
+    assert (feats < 0.0).any() and (feats > 1.0).any()
+    spec = OffsetSpec(d=0.1)
+    offsets = np.clip(rng.normal(0.0, 2.0 * spec.gamma, size=feats.shape),
+                      -spec.gamma, spec.gamma)
+    assert (np.abs(offsets) == spec.gamma).any()
+    for offs in (None, offsets):
+        got = _stack_states(_encode_rows(feats, axis, offs), dim)
+        want = _stack_states([_kron_encoding(f, None if offs is None else o, axis)
+                              for f, o in zip(feats, offsets)], dim)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    # the one-state encoders are the block's one-row case
+    one = _stack_states([qc.angle_encode(feats[0], axis),
+                         qc.angle_encode_offset(feats[1], offsets[1], axis)], dim)
+    want = _stack_states([_kron_encoding(feats[0], None, axis),
+                          _kron_encoding(feats[1], offsets[1], axis)], dim)
+    assert one.dtype == want.dtype
+    assert np.array_equal(one, want)
 
 
 def test_rx_axis_supported():
