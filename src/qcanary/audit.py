@@ -20,9 +20,11 @@ two directions can be compared.
 Trials are independent and keyed by (master seed, trial index). They run
 in blocks of TRIAL_BLOCK consecutive trials: every trial of a block draws
 its canaries and initialization from its own stream, the block's models
-train as one stack, and each trial then evaluates from its own stream
-again. A stacked model trains to the same bits as a lone one, so block
-size, order and process placement leave every output bit unchanged.
+train as one stack, their observables under the evaluation noise come
+from one walk back, and each trial then evaluates from its own stream
+again. A stacked model trains and reads out to the same bits as a lone
+one, so block size, order and process placement leave every output bit
+unchanged.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from functools import partial
 
 import numpy as np
 
-from .classifier import (ModelSpec, TrainConfig, _stack_states, _train_stack, eval_model,
-                         evaluate_losses, train)
+from .classifier import (ModelSpec, TrainConfig, _observables, _read_losses, _stack_states,
+                         _train_stack, eval_model, evaluate_losses, train)
 from .data import Dataset
 from .encoding import OffsetSpec, _encode_rows, sample_offsets
 from .encoding import angle_encode, angle_encode_offset  # noqa: F401  (bench traces them as encoding.encode)
@@ -97,6 +99,9 @@ class AuditConfig:
             raise ValueError(f"unknown kappa rule {self.kappa_rule!r}")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        if self.model.noise.kind == "depolarizing" and self.model.noise.scope == "per_qubit":
+            raise ValueError("training under per-qubit depolarizing noise is not supported; "
+                             "use global scope or evaluate noise at audit time only")
 
     def resolved_delta(self) -> float:
         if self.delta is not None:
@@ -510,28 +515,46 @@ def _run_block(indices: range, config: AuditConfig, dataset: Dataset,
 
     # 3. each trial's evaluation, from its own stream in the order of a lone trial
     rows = []
-    for t, rng in enumerate(rngs):
-        seen_labels, unseen_labels = labels[t, :K], labels[t, K:]
-        # theta1 is scored on the very states it trained on, theta0 on fresh
-        # offset-encoded canaries
-        x_losses = evaluate_losses(eval_model(models[2 * t + 1], config.noise),
-                                   seen_phi2[t], seen_labels, rng)
-        y_losses = evaluate_losses(eval_model(models[2 * t], config.noise),
-                                   unseen_phi2[t], unseen_labels, rng)
+    for x_losses, y_losses, *ref in _evaluate_block(
+            config, models, references if kappa is None else [],
+            seen_phi2, unseen_phi2, labels, rngs):
         if kappa is not None:
             rows.append(((x_losses < kappa).astype(np.uint8),
                          (y_losses < kappa).astype(np.uint8), None))
             continue
-
-        # the reference sees the base data only, so its losses are a
-        # canary-independent post-processing of the trial's initialization
-        reference = eval_model(references[t], config.noise)
-        x_ref = evaluate_losses(reference, seen_phi2[t], seen_labels, rng)
-        y_ref = evaluate_losses(reference, unseen_phi2[t], unseen_labels, rng)
+        x_ref, y_ref = ref
         rows.append(((x_losses < x_ref).astype(np.uint8),
                      (y_losses < y_ref).astype(np.uint8),
                      np.concatenate([x_ref, y_ref])))
     return rows
+
+
+def _evaluate_block(config: AuditConfig, paired: list, references: list,
+                    seen: np.ndarray, unseen: np.ndarray, labels: np.ndarray, rngs) -> list:
+    """Each trial's losses under config.noise: x and y, then x_ref and y_ref
+    when there are references.
+
+    paired holds a block's theta0 and theta1 of each trial in turn and
+    references one model per trial or none; seen and unseen are the
+    (T, K, dim) offset encodings and labels (T, 2K), seen first. All
+    observables come from one walk back, and each trial reads its slices
+    in the order x, y, x_ref, y_ref with its own rng, so every loss and
+    every shot draw equals evaluate_losses on that model alone.
+    """
+    T, K, noise = len(rngs), seen.shape[1], config.noise
+    A = _observables(config.model, np.stack([m.params for m in paired + references]), noise)
+    out = []
+    for t, rng in enumerate(rngs):
+        # theta1 is scored on the very states it trained on, theta0 on fresh
+        # offset-encoded canaries
+        reads = [(2 * t + 1, seen[t], labels[t, :K]), (2 * t, unseen[t], labels[t, K:])]
+        if references:
+            # the reference sees the base data only, so its losses are a
+            # canary-independent post-processing of the trial's initialization
+            reads += [(2 * T + t, seen[t], labels[t, :K]), (2 * T + t, unseen[t], labels[t, K:])]
+        out.append([_read_losses(A[i:i + 1], noise, states, lab, rng)
+                    for i, states, lab in reads])
+    return out
 
 
 def _calibration(dataset: Dataset, config: AuditConfig,

@@ -7,11 +7,15 @@ gradient descent on exact adjoint gradients.
 
 One engine serves every path, and it works on stacks of models. A privacy
 audit retrains the model hundreds of times, so the _Engine below takes S
-parameter vectors at once, builds all their layer unitaries with one
-broadcast Kronecker product, and walks the observable back through them,
-per-qubit channels included, to the effective observables A_s with
-<Z> = psi^dagger A_s psi. Evaluation reads every state through A; global
-noise and shots then act on <Z>. A gradient step reuses the observables
+parameter vectors at once, builds all their layer unitaries as staged
+Kronecker products whose gather indices also apply the CX chain, a
+permutation, and walks the observable back through them to the effective
+observables A_s with <Z> = psi^dagger A_s psi. Per-qubit depolarizing
+noise is applied there and only there, on the stacked A_s after the walk,
+each qubit's channel an exact real gather (_Engine.depolarize_qubit).
+Evaluation reads every state through A, and an audit block reads all its
+models through one stack; global noise and shots then act on <Z>. A
+gradient step reuses the observables
 of that walk and adds one walk forward from the data, so its cost does
 not grow with the parameter count, and one step advances all S models:
 model s sees only its own slice of every stacked matmul, so a stack
@@ -29,7 +33,7 @@ import numpy as np
 
 from .circuits import z_on_qubit
 from .circuits import apply_circuit_density  # noqa: F401  (bench traces it as circuits.density)
-from .noise import NoiseSpec, _depolarize_qubit_mat
+from .noise import NoiseSpec
 from .states import PureState
 
 P_CLAMP = 1e-9
@@ -100,7 +104,6 @@ class _Engine:
         self.n = qubits
         self.reps = reps
         self.dim = 2**qubits
-        self.chain = self._cx_chain()
         self.obs = np.ascontiguousarray(z_on_qubit(qubits).matrix.real)
         # the RY generator on qubit q, G_q = -iY_q/2, pairs index j with
         # j ^ mask_q, with entry -1/2 where bit q of j is 0 and +1/2 where 1
@@ -109,46 +112,58 @@ class _Engine:
         self.cols = idx
         self.flip = idx ^ masks
         self.sign = np.where(idx & masks, 1.0, -1.0)
+        # (-1)^(bit_q(i) + bit_q(j)), the signs Z_q puts on entry (i, j)
+        self.parity = self.sign[:, :, None] * self.sign[:, None, :]
+        self.stages = self._kron_stages(self._cx_columns())
 
-    def _cx_chain(self) -> np.ndarray:
-        """Composed unitary of the linear CX chain, as one real matrix."""
-        dim, n = self.dim, self.n
-        chain = np.eye(dim)
-        idx = np.arange(dim)
+    def _cx_columns(self) -> np.ndarray:
+        """The linear CX chain as a permutation: it maps basis state j to
+        cols[j], so V @ chain is the column gather V[:, cols]."""
+        cols, n = np.arange(self.dim), self.n
         for q in range(n - 1):
-            control_bit = (idx >> (n - 1 - q)) & 1
-            flipped = np.where(control_bit == 1, idx ^ (1 << (n - 2 - q)), idx)
-            gate = np.zeros((dim, dim))
-            gate[flipped, idx] = 1.0
-            chain = gate @ chain
-        return chain
+            control = (cols >> (n - 1 - q)) & 1
+            cols = cols ^ (control << (n - 2 - q))
+        return cols
 
-    def _ry_layer(self, angles: np.ndarray) -> np.ndarray:
-        """(S, n) angles -> (S, dim, dim) layer unitaries via broadcast kron."""
-        c = np.cos(angles / 2.0)
-        s = np.sin(angles / 2.0)
-        S = angles.shape[0]
-        blocks = np.empty((S, self.n, 2, 2))
-        blocks[..., 0, 0] = c
-        blocks[..., 0, 1] = -s
-        blocks[..., 1, 0] = s
-        blocks[..., 1, 1] = c
-        out = blocks[:, 0]
+    def _kron_stages(self, chain_cols: np.ndarray) -> list:
+        """Flat gather indices for the staged Kronecker product of a layer's
+        RY matrices, ((R_0 x R_1) x R_2) x ..., qubit 0 most significant.
+
+        Stage q reads entry ((a, x), j) of P x R_q as P[a, col >> 1] *
+        R_q[x, col & 1], with P the product so far and col = j, except in
+        the last stage of every layer after the first, where col =
+        chain_cols[j] folds the CX chain before the layer into the gather.
+        Indices run over all reps + 1 layers of one model at once.
+        """
+        L, stages = self.reps + 1, []
         for q in range(1, self.n):
-            d = out.shape[1]
-            out = (out[:, :, None, :, None]
-                   * blocks[:, q, None, :, None, :]).reshape(S, 2 * d, 2 * d)
-        return out
+            d = 2**q
+            cols = np.tile(np.arange(2 * d), (L, 1))
+            if q == self.n - 1:
+                cols[1:] = chain_cols
+            rows = np.arange(2 * d)[None, :, None]
+            layer = np.arange(L)[:, None, None]
+            stages.append(((layer * d + (rows >> 1)) * d + (cols >> 1)[:, None, :],
+                           (layer * 2 + (rows & 1)) * 2 + (cols & 1)[:, None, :]))
+        return stages
 
     def layers(self, theta: np.ndarray) -> np.ndarray:
         """(S, P) parameter vectors -> (S, reps + 1, dim, dim): per model,
         the first RY layer, then each later RY layer times the CX chain
-        before it."""
+        before it. Every entry is one product of RY entries, so the stack
+        equals the np.kron reference, chain matmul included, bit for bit."""
         S, L = theta.shape[0], self.reps + 1
-        layers = self._ry_layer(np.reshape(theta, (S * L, self.n)))
-        layers = layers.reshape(S, L, self.dim, self.dim)
-        layers[:, 1:] = layers[:, 1:] @ self.chain
-        return layers
+        half = np.reshape(theta, (S, L, self.n)).transpose(0, 2, 1) / 2.0
+        c, s = np.cos(half), np.sin(half)
+        ry = np.stack([c, -s, s, c], axis=-1)  # (S, n, L, 4): each RY row-major
+        out = ry[:, 0]
+        for q, (p_idx, r_idx) in enumerate(self.stages, start=1):
+            # in place: one less full-size temporary keeps the allocator
+            # from returning and refaulting pages on every training step
+            stage = np.take(out.reshape(S, -1), p_idx, axis=1)
+            stage *= np.take(ry[:, q].reshape(S, -1), r_idx, axis=1)
+            out = stage
+        return out.reshape(S, L, self.dim, self.dim)
 
     def walk_back(self, layers: np.ndarray, per_qubit_p: float | None = None):
         """The readout walked back through each model's ansatz, last layer first.
@@ -170,8 +185,21 @@ class _Engine:
             A = V.transpose(0, 2, 1) @ A @ V
         if per_qubit_p is not None:
             for q in range(self.n):
-                A = _depolarize_qubit_mat(A, q, per_qubit_p)
+                A = self.depolarize_qubit(A, q, per_qubit_p)
         return after, A
+
+    def depolarize_qubit(self, A: np.ndarray, q: int, p: float) -> np.ndarray:
+        """The depolarizing channel on qubit q, applied to each real (S, dim,
+        dim) matrix: (1-p) A + p/3 (X A X + Y A Y + Z A Z) on that qubit.
+
+        X_q A X_q is the gather A[f, f] with f the bit-q flip, Z_q A Z_q the
+        parity signs times A and Y_q A Y_q the signs times A[f, f], all real
+        and exact; summed in X, Y, Z order this matches the complex Pauli
+        products of noise.depolarize_qubit bit for bit.
+        """
+        f, signs, w = self.flip[q], self.parity[q], p / 3.0
+        flipped = A[:, f[:, None], f]
+        return (1.0 - p) * A + w * flipped + w * (signs * flipped) + w * (signs * A)
 
     def generator_traces(self, M: np.ndarray) -> np.ndarray:
         """2 Re tr(G_q M_l) for every layer l and qubit q, in slot order,
@@ -208,13 +236,13 @@ def _stack_states(states, dim: int) -> np.ndarray:
     return np.ascontiguousarray(block)
 
 
-def _noise_scale(spec: ModelSpec) -> float:
+def _noise_scale(noise: NoiseSpec) -> float:
     """scale such that <Z> under global depolarizing noise at the input
     is scale * <Z>_clean; Z is traceless, so the channel adds no offset.
     Only valid for global scope."""
-    if spec.noise.kind != "depolarizing" or spec.noise.scope != "global":
+    if noise.kind != "depolarizing" or noise.scope != "global":
         return 1.0
-    return 1.0 - spec.noise.p
+    return 1.0 - noise.p
 
 
 def _probs_from_z(z: np.ndarray) -> np.ndarray:
@@ -233,15 +261,15 @@ def _sample_z(z_exact: np.ndarray, shots: int, rng: np.random.Generator) -> np.n
     return -1.0 + 2.0 * counts / shots
 
 
-def _effective_observable(spec: ModelSpec, params: np.ndarray, noisy: bool) -> np.ndarray:
-    """A with <Z> = psi^dagger A psi, per-qubit channels included when
-    noisy, as the (1, dim, dim) stack of one model."""
-    engine, noise = _engine_for(spec), spec.noise
-    per_qubit = noisy and noise.kind == "depolarizing" and noise.scope == "per_qubit"
-    _, A = engine.walk_back(engine.layers(np.reshape(params, (1, -1))),
+def _observables(spec: ModelSpec, params: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+    """The effective observables A_s, with <Z> = psi^dagger A_s psi, of the
+    rows of the (S, P) params under noise, as one (S, dim, dim) walk back.
+    A per-qubit channel acts inside A; the global channel and shots act
+    later, on <Z> (see _noisy_z)."""
+    engine = _engine_for(spec)
+    per_qubit = noise.kind == "depolarizing" and noise.scope == "per_qubit"
+    _, A = engine.walk_back(engine.layers(np.reshape(params, (-1, spec.param_count))),
                             noise.p if per_qubit else None)
-    if np.iscomplexobj(A) and not A.imag.any():
-        A = A.real
     return A
 
 
@@ -251,19 +279,28 @@ def _read_z(A: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.einsum("sib,sib->sb", states.conj(), A @ states).real
 
 
-def _batch_z(spec: ModelSpec, params: np.ndarray, states,
-             noisy: bool, rng: np.random.Generator | None) -> np.ndarray:
-    """<Z> per state under the model's noise regime (when noisy=True)."""
-    states_T = _stack_states(states, spec.dim)
-    z = _read_z(_effective_observable(spec, params, noisy), states_T[None])[0]
-    if not noisy:
-        return z
-    z = _noise_scale(spec) * z
-    if spec.noise.kind == "measurement_shots":
+def _noisy_z(A: np.ndarray, noise: NoiseSpec, states,
+             rng: np.random.Generator | None) -> np.ndarray:
+    """<Z> per state through one model's (1, dim, dim) observable A under
+    noise: scaled by the global channel, or drawn from rng under shots."""
+    z = _noise_scale(noise) * _read_z(A, _stack_states(states, A.shape[-1])[None])[0]
+    if noise.kind == "measurement_shots":
         if rng is None:
             raise ValueError("finite-shot evaluation needs an explicit rng")
-        z = _sample_z(z, spec.noise.shots, rng)
+        z = _sample_z(z, noise.shots, rng)
     return z
+
+
+def _read_losses(A: np.ndarray, noise: NoiseSpec, states, labels,
+                 rng: np.random.Generator | None) -> np.ndarray:
+    """evaluate_losses for the model whose observable under noise is A, a
+    (1, dim, dim) slice of an _observables stack."""
+    labels = np.asarray(labels, dtype=float).ravel()
+    if len(states) == 0:
+        raise ValueError("no states to evaluate")
+    if len(states) != labels.size:
+        raise ValueError("states and labels differ in length")
+    return _bce(_probs_from_z(_noisy_z(A, noise, states, rng)), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +308,8 @@ def _batch_z(spec: ModelSpec, params: np.ndarray, states,
 
 def predict(model: TrainedModel, state, rng: np.random.Generator | None = None) -> float:
     """Class-1 probability p = (1 + <Z>) / 2 of a pure state under the model's noise."""
-    z = float(_batch_z(model.spec, model.params, [state], noisy=True, rng=rng)[0])
+    noise = model.spec.noise
+    z = float(_noisy_z(_observables(model.spec, model.params, noise), noise, [state], rng)[0])
     return float(np.clip((1.0 + z) / 2.0, 0.0, 1.0))
 
 
@@ -290,19 +328,16 @@ def evaluate_losses(model: TrainedModel, states, labels,
 
     states is a sequence of encoded states or a (B, dim) array of
     amplitude rows."""
-    labels = np.asarray(labels, dtype=float).ravel()
-    if len(states) == 0:
-        raise ValueError("no states to evaluate")
-    if len(states) != labels.size:
-        raise ValueError("states and labels differ in length")
-    z = _batch_z(model.spec, model.params, states, noisy=True, rng=rng)
-    return _bce(_probs_from_z(z), labels)
+    noise = model.spec.noise
+    return _read_losses(_observables(model.spec, model.params, noise), noise,
+                        states, labels, rng)
 
 
 def mean_loss(spec: ModelSpec, params: np.ndarray, states, labels) -> float:
     """Noiseless exact-expectation mean loss, the quantity training descends."""
     labels = np.asarray(labels, dtype=float).ravel()
-    z = _batch_z(spec, np.asarray(params, dtype=float), states, noisy=False, rng=None)
+    clean = NoiseSpec.none()
+    z = _noisy_z(_observables(spec, np.asarray(params, dtype=float), clean), clean, states, None)
     return float(_bce(_probs_from_z(z), labels).mean())
 
 
@@ -384,7 +419,7 @@ def _train_stack(states: np.ndarray, labels: np.ndarray, spec: ModelSpec,
         raise NotImplementedError(
             "training under per-qubit depolarizing noise is not supported; "
             "use global scope or evaluate noise at audit time only")
-    engine, scale = _engine_for(spec), _noise_scale(spec)
+    engine, scale = _engine_for(spec), _noise_scale(spec.noise)
     theta = np.stack([np.random.default_rng(seed).uniform(-0.1, 0.1, spec.param_count)
                       for seed in seeds])
 

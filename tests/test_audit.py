@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 import qcanary as qc
 from qcanary import AuditConfig, DomainError, ModelSpec, NoiseSpec, TrainConfig
-from qcanary.audit import _calibration
+from qcanary.audit import _calibration, _evaluate_block
+from qcanary.encoding import _encode_rows
 
 
 # small_config(n=6, kappa_rule="calibrated_median") audited by the code
@@ -367,6 +368,55 @@ def test_audit_does_not_depend_on_block_size(dataset, monkeypatch, noise):
         x_row, y_row = qc.run_trial(i, cfg, dataset)
         assert np.array_equal(x_row, default.trials.x[i])
         assert np.array_equal(y_row, default.trials.y[i])
+
+
+def test_per_qubit_audit_does_not_depend_on_block_size(dataset, monkeypatch):
+    # a block reads all its observables from one walk with the per-qubit
+    # channel inside; any block size or worker count must give the same bits
+    cfg = small_config(n=8, noise=NoiseSpec.depolarizing(0.05, scope="per_qubit"))
+    default = qc.audit(cfg, dataset)
+    audit_module = importlib.import_module("qcanary.audit")
+    for block in (1, 3):
+        monkeypatch.setattr(audit_module, "TRIAL_BLOCK", block)
+        for workers in (1, 2):
+            report = qc.audit(cfg, dataset, workers=workers)
+            assert np.array_equal(report.trials.x, default.trials.x), (block, workers)
+            assert np.array_equal(report.trials.y, default.trials.y), (block, workers)
+            assert report.kappa == default.kappa
+            assert report.estimate == default.estimate
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec.depolarizing(0.05, scope="per_qubit"),
+                                   NoiseSpec.depolarizing(0.05), NoiseSpec.measurement(400)])
+def test_block_evaluation_matches_model_by_model(noise):
+    # the block's stacked observables against evaluate_losses on one model
+    # at a time, each trial from its own identically seeded stream, with
+    # and without the references after the paired models
+    cfg = small_config(noise=noise)
+    spec, T, K = cfg.model, 3, cfg.K
+    draw = np.random.default_rng(3)
+    models = [qc.TrainedModel(spec=spec, params=draw.uniform(-1, 1, spec.param_count),
+                              train_log=()) for _ in range(3 * T)]
+    seen, unseen = (_encode_rows(draw.uniform(0, 1, (T * K, 3)), "RY").reshape(T, K, -1)
+                    for _ in range(2))
+    labels = draw.integers(0, 2, size=(T, 2 * K))
+    paired, references = models[:2 * T], models[2 * T:]
+    for refs in (references, []):
+        rngs = [np.random.default_rng(100 + t) for t in range(T)]
+        got = _evaluate_block(cfg, paired, refs, seen, unseen, labels, rngs)
+        assert len(got) == T
+        for t in range(T):
+            rng = np.random.default_rng(100 + t)
+            reads = [(paired[2 * t + 1], seen[t], labels[t, :K]),
+                     (paired[2 * t], unseen[t], labels[t, K:])]
+            if refs:
+                reads += [(refs[t], seen[t], labels[t, :K]),
+                          (refs[t], unseen[t], labels[t, K:])]
+            want = [qc.evaluate_losses(qc.eval_model(model, noise), states, lab, rng)
+                    for model, states, lab in reads]
+            assert len(got[t]) == len(want)
+            for g, w in zip(got[t], want):
+                assert np.array_equal(g, w), (len(refs), t)
 
 
 def test_pool_starts_no_more_workers_than_blocks(dataset, monkeypatch):

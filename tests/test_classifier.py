@@ -7,9 +7,11 @@ import pytest
 
 import qcanary as qc
 from qcanary import ModelSpec, NoiseSpec, TrainConfig, TrainedModel
-from qcanary.classifier import _stack_states, _train_stack, loss_gradient, mean_loss
-from qcanary.circuits import (apply_circuit_density, build_real_amplitudes, expectation,
-                              parameter_shift_gradient, with_noise_ids, z_on_qubit)
+from qcanary.classifier import _engine_for, _stack_states, _train_stack, loss_gradient, mean_loss
+from qcanary.circuits import (Gate, apply_circuit_density, build_real_amplitudes, expectation,
+                              gate_unitary, parameter_shift_gradient, with_noise_ids,
+                              z_on_qubit)
+from qcanary.noise import _depolarize_qubit_mat
 from qcanary.states import pure_to_density
 
 
@@ -216,6 +218,43 @@ def test_stacked_training_matches_one_model_at_a_time(rng, axis, noise):
             alone = qc.train(data[s], labels[s], spec, replace(cfg, seed=seeds[s]))
             assert np.array_equal(stacked[s].params, alone.params), (S, s)
             assert np.array_equal(stacked[s].train_log, alone.train_log), (S, s)
+
+
+def test_engine_layers_match_kron_reference(rng):
+    # per layer the Kronecker product of the RY matrices, qubit 0 most
+    # significant, times the CX chain before it; the engine gathers where
+    # the reference multiplies, so every bit must agree
+    for qubits, reps in itertools.product(range(1, 6), range(1, 4)):
+        circuit = build_real_amplitudes(qubits, reps)
+        chain = np.eye(2**qubits)
+        for q in range(qubits - 1):
+            chain = gate_unitary(Gate("CX", (q, q + 1)), circuit, np.zeros(0)).real @ chain
+        theta = rng.uniform(-np.pi, np.pi, size=(3, (reps + 1) * qubits))
+        got = _engine_for(ModelSpec(qubits=qubits, ansatz_reps=reps)).layers(theta)
+        for s, layer in itertools.product(range(3), range(reps + 1)):
+            want = np.ones((1, 1))
+            for angle in theta[s, layer * qubits:(layer + 1) * qubits]:
+                c, si = np.cos(angle / 2.0), np.sin(angle / 2.0)
+                want = np.kron(want, np.array([[c, -si], [si, c]]))
+            if layer > 0:
+                want = want @ chain
+            assert np.array_equal(got[s, layer].view(np.int64), want.view(np.int64)), \
+                (qubits, reps, s, layer)
+
+
+def test_per_qubit_channel_matches_complex_pauli_products(rng):
+    # the engine's real gather against noise.py's embedded Pauli products,
+    # model by model: equal bits, and nothing imaginary to drop
+    for qubits, S, p in itertools.product(range(1, 5), (1, 5), (0.0, 0.05, 0.75, 1.0)):
+        engine = _engine_for(ModelSpec(qubits=qubits, ansatz_reps=1))
+        A = rng.normal(size=(S, 2**qubits, 2**qubits))
+        A = A + A.transpose(0, 2, 1)
+        for q in range(qubits):
+            got = engine.depolarize_qubit(A, q, p)
+            for s in range(S):
+                want = _depolarize_qubit_mat(A[s], q, p)
+                assert not want.imag.any()
+                assert np.array_equal(got[s], want.real), (qubits, S, p, q, s)
 
 
 def test_under_noise_training_uses_noisy_forward(rng):

@@ -180,6 +180,16 @@ def test_config_error_exits_2_without_output(tmp_path):
         assert not os.path.exists(out)
 
 
+def test_per_qubit_training_noise_exits_2_before_training(tmp_path):
+    # training under per-qubit noise is unsupported, so the config check
+    # refuses it before any model trains
+    cfg = write_config(tmp_path, {"noise.kind": "depolarizing", "noise.scope": "per_qubit",
+                                  "train.under_noise": True})
+    out = str(tmp_path / "never.json")
+    assert main(["audit", "--config", cfg, "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
 def test_shot_noise_audit_trains_under_noise(tmp_path):
     # the calibration pass reads mu noiselessly, whatever the training noise
     cfg = write_config(tmp_path, {"noise.kind": "measurement_shots", "noise.shots": 100,
