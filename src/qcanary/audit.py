@@ -440,10 +440,6 @@ def _kappa_seed_seq(config: AuditConfig) -> np.random.SeedSequence:
     return np.random.SeedSequence(config.seed, spawn_key=(1,))
 
 
-def _encode_base(dataset: Dataset, axis: str) -> np.ndarray:
-    return _encode_rows(dataset.features, axis)
-
-
 def run_trial(trial_index: int, config: AuditConfig, dataset: Dataset,
               kappa: float | None = None):
     """One paired-model trial; returns the seen and unseen indicator rows.
@@ -455,7 +451,7 @@ def run_trial(trial_index: int, config: AuditConfig, dataset: Dataset,
     The trial's entire randomness derives from (config.seed, trial_index),
     so any execution order, block or process placement yields the same rows.
     """
-    base_states = _encode_base(dataset, config.model.encoding_axis)
+    base_states = _encode_rows(dataset.features)
     [(x_row, y_row, _)] = _run_block(range(trial_index, trial_index + 1), config,
                                      dataset, kappa, base_states)
     return x_row, y_row
@@ -469,7 +465,7 @@ def _run_block(indices: range, config: AuditConfig, dataset: Dataset,
     once per audit."""
     if kappa is None and config.kappa_rule != "reference":
         kappa = calibrate_kappa(dataset, config)
-    K, m, axis = config.K, dataset.feature_count, config.model.encoding_axis
+    K, m = config.K, dataset.feature_count
     spec_off = OffsetSpec(d=config.d, delta_conf=config.delta_conf)
 
     # 1. each trial's draws, from its own stream in the order of a lone trial
@@ -494,9 +490,9 @@ def _run_block(indices: range, config: AuditConfig, dataset: Dataset,
     rngs, feats, labels, train_offsets, eval_offsets, init_seeds = zip(*draws)
     T, feats, labels = len(draws), np.stack(feats), np.stack(labels)
     seen_feats = feats[:, :K].reshape(T * K, m)
-    seen_phi1 = _encode_rows(seen_feats, axis).reshape(T, K, -1)
-    seen_phi2 = _encode_rows(seen_feats, axis, np.concatenate(train_offsets)).reshape(T, K, -1)
-    unseen_phi2 = _encode_rows(feats[:, K:].reshape(T * K, m), axis,
+    seen_phi1 = _encode_rows(seen_feats).reshape(T, K, -1)
+    seen_phi2 = _encode_rows(seen_feats, np.concatenate(train_offsets)).reshape(T, K, -1)
+    unseen_phi2 = _encode_rows(feats[:, K:].reshape(T * K, m),
                                np.concatenate(eval_offsets)).reshape(T, K, -1)
 
     # 2. theta0 (on phi1) and theta1 (on phi2) of every trial in one stack,
@@ -567,9 +563,8 @@ def _calibration(dataset: Dataset, config: AuditConfig,
     read without noise whatever regime the model trained under, provide
     mu for the finite-shot bound, floored at MU_FLOOR.
     """
-    axis = config.model.encoding_axis
     if base_states is None:
-        base_states = _encode_base(dataset, axis)
+        base_states = _encode_rows(dataset.features)
     rng = np.random.default_rng(_kappa_seed_seq(config))
     init_seed = int(rng.integers(2**63))
     tcfg = replace(config.train, seed=init_seed)
@@ -578,7 +573,7 @@ def _calibration(dataset: Dataset, config: AuditConfig,
     feats, labels = generate_canaries(dataset, CALIBRATION_CANARIES, rng)
     spec_off = OffsetSpec(d=config.d, delta_conf=config.delta_conf)
     offsets = np.stack([sample_offsets(spec_off, dataset.feature_count, rng) for _ in feats])
-    states = _encode_rows(feats, axis, offsets)
+    states = _encode_rows(feats, offsets)
 
     losses = evaluate_losses(eval_model(reference, config.noise), states, labels, rng)
     kappa = float(np.median(losses))
@@ -635,7 +630,7 @@ def audit(config: AuditConfig, dataset: Dataset, workers: int = 1) -> AuditRepor
             f"{dataset.feature_count} features")
 
     t0 = time.perf_counter()
-    base_states = _encode_base(dataset, config.model.encoding_axis)
+    base_states = _encode_rows(dataset.features)
     kappa = mu_est = None
     # the finite-shot bound needs mu whatever the recognition rule
     if config.kappa_rule == "calibrated_median" or config.noise.kind == "measurement_shots":
@@ -695,6 +690,8 @@ def simulate_known_mechanism(epsilon_true: float, n: int, K: int, beta: float,
     """
     if epsilon_true < 0.0:
         raise ValueError("epsilon_true must be nonnegative")
+    if K < 1:
+        raise ValueError(f"need K >= 1 canaries per trial, got {K}")
     if not 0.0 < p0 < 1.0:
         raise ValueError(f"base rate {p0} not in (0, 1)")
     p1 = min(1.0, math.exp(epsilon_true) * p0)
@@ -709,8 +706,10 @@ def trials_to_target(target_epsilon: float, epsilon_true: float, K: int,
     """Smallest trial count (on a doubling grid) reaching the target estimate.
 
     Returns max_n when the target is never reached; callers treat that as
-    saturation rather than an error.
+    saturation rather than an error. max_n must reach the first grid point, 8.
     """
+    if max_n < 8:
+        raise ValueError(f"max_n {max_n} is below the first trial count, 8")
     n = 8
     while n <= max_n:
         est = simulate_known_mechanism(epsilon_true, n, K, beta, rng, p0)

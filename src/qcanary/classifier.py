@@ -10,19 +10,20 @@ audit retrains the model hundreds of times, so the _Engine below takes S
 parameter vectors at once, builds all their layer unitaries as staged
 Kronecker products whose gather indices also apply the CX chain, a
 permutation, and walks the observable back through them to the effective
-observables A_s with <Z> = psi^dagger A_s psi. Per-qubit depolarizing
-noise is applied there and only there, on the stacked A_s after the walk,
-each qubit's channel an exact real gather (_Engine.depolarize_qubit).
-Evaluation reads every state through A, and an audit block reads all its
-models through one stack; global noise and shots then act on <Z>. A
-gradient step reuses the observables
-of that walk and adds one walk forward from the data, so its cost does
-not grow with the parameter count, and one step advances all S models:
-model s sees only its own slice of every stacked matmul, so a stack
-trains each model to the same bits as training it alone, and a single
-model is the S = 1 case. RY, CX and Z are real, so all of it runs in
-float64; complex values come only from RX inputs. The circuits module is
-the reference these paths are tested against.
+observables A_s with <Z> = psi^T A_s psi. Both depolarizing channels
+act there and only there, on the stacked A_s at the input end of the walk
+(_Engine.walk_back): the global channel as the scale 1 - p, each
+per-qubit channel as an exact real gather. Shots are a readout effect,
+not a channel, and are drawn from the exact <Z> afterwards. Evaluation
+reads every state through A, and an audit block reads all its models
+through one stack. A gradient step reuses the observables of that walk
+and adds one walk forward from the data, so its cost does not grow with
+the parameter count, and one step advances all S models: model s sees
+only its own slice of every stacked matmul, so a stack trains each model
+to the same bits as training it alone, and a single model is the S = 1
+case. RY encodings, RY, CX and Z are all real, so everything runs in
+float64. The circuits module is the reference these paths are tested
+against.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuits import z_on_qubit
 from .circuits import apply_circuit_density  # noqa: F401  (bench traces it as circuits.density)
 from .noise import NoiseSpec
 from .states import PureState
@@ -46,14 +46,11 @@ class ModelSpec:
 
     qubits: int
     ansatz_reps: int = 3
-    encoding_axis: str = "RY"
     noise: NoiseSpec = field(default_factory=NoiseSpec.none)
 
     def __post_init__(self):
         if self.qubits < 1 or self.ansatz_reps < 1:
             raise ValueError("need qubits >= 1 and ansatz_reps >= 1")
-        if self.encoding_axis not in ("RY", "RX"):
-            raise ValueError(f"unsupported encoding axis {self.encoding_axis!r}")
 
     @property
     def param_count(self) -> int:
@@ -94,17 +91,12 @@ class TrainedModel:
 # simulation engine
 
 class _Engine:
-    """The ansatz as raw arrays: RY layers, the CX chain and the Z readout.
-
-    Everything stays float64; complex128 appears only when RX-encoded
-    inputs force it.
-    """
+    """The ansatz as raw float64 arrays: RY layers, the CX chain and the Z readout."""
 
     def __init__(self, qubits: int, reps: int):
         self.n = qubits
         self.reps = reps
         self.dim = 2**qubits
-        self.obs = np.ascontiguousarray(z_on_qubit(qubits).matrix.real)
         # the RY generator on qubit q, G_q = -iY_q/2, pairs index j with
         # j ^ mask_q, with entry -1/2 where bit q of j is 0 and +1/2 where 1
         idx = np.arange(self.dim)
@@ -114,6 +106,7 @@ class _Engine:
         self.sign = np.where(idx & masks, 1.0, -1.0)
         # (-1)^(bit_q(i) + bit_q(j)), the signs Z_q puts on entry (i, j)
         self.parity = self.sign[:, :, None] * self.sign[:, None, :]
+        self.obs = np.diag(-self.sign[0])  # the readout, Z on qubit 0
         self.stages = self._kron_stages(self._cx_columns())
 
     def _cx_columns(self) -> np.ndarray:
@@ -165,16 +158,18 @@ class _Engine:
             out = stage
         return out.reshape(S, L, self.dim, self.dim)
 
-    def walk_back(self, layers: np.ndarray, per_qubit_p: float | None = None):
+    def walk_back(self, layers: np.ndarray, noise: NoiseSpec):
         """The readout walked back through each model's ansatz, last layer first.
 
         Returns (after, A): after[l] is the observable the states see just
         after layer l, (S, dim, dim) (the shared readout for the last
         layer), and A the (S, dim, dim) one the input states see, so that
-        <Z> = psi^dagger A_s psi. Each layer V (real, so V^dagger = V^T)
-        maps A to V^T A V. With per_qubit_p, a per-qubit depolarizing
-        channel (a Pauli channel, its own adjoint) acts on A at the input,
-        where it acts on the state.
+        <Z> = psi^T A_s psi. Each layer V (real, so V^dagger = V^T) maps A
+        to V^T A V. This is the one place a depolarizing channel touches
+        the engine: it acts on A at the input, where it acts on the state.
+        The global channel's adjoint is (1 - p) A, as Z is traceless; a
+        per-qubit channel is a Pauli channel, its own adjoint. after stays
+        noiseless, and with it the circuit derivative of a training step.
         """
         L = layers.shape[1]
         after = [None] * L
@@ -183,9 +178,11 @@ class _Engine:
             after[layer] = A
             V = layers[:, layer]
             A = V.transpose(0, 2, 1) @ A @ V
-        if per_qubit_p is not None:
+        if noise.kind == "depolarizing" and noise.scope == "global":
+            A = (1.0 - noise.p) * A
+        elif noise.kind == "depolarizing":
             for q in range(self.n):
-                A = self.depolarize_qubit(A, q, per_qubit_p)
+                A = self.depolarize_qubit(A, q, noise.p)
         return after, A
 
     def depolarize_qubit(self, A: np.ndarray, q: int, p: float) -> np.ndarray:
@@ -202,9 +199,9 @@ class _Engine:
         return (1.0 - p) * A + w * flipped + w * (signs * flipped) + w * (signs * A)
 
     def generator_traces(self, M: np.ndarray) -> np.ndarray:
-        """2 Re tr(G_q M_l) for every layer l and qubit q, in slot order,
-        as a signed gather over the (S, layers, dim, dim) stack M -> (S, P)."""
-        traces = (self.sign * M[..., self.flip, self.cols]).sum(axis=-1).real
+        """2 tr(G_q M_l) for every layer l and qubit q, in slot order, as a
+        signed gather over the real (S, layers, dim, dim) stack M -> (S, P)."""
+        traces = (self.sign * M[..., self.flip, self.cols]).sum(axis=-1)
         return traces.reshape(M.shape[0], -1)
 
 
@@ -220,7 +217,10 @@ def _engine_for(spec: ModelSpec) -> _Engine:
 
 def _stack_states(states, dim: int) -> np.ndarray:
     """Encoded inputs, a sequence of states or a (B, dim) array of
-    amplitude rows, as a contiguous (dim, B) block, real when possible."""
+    amplitude rows, as a contiguous float64 (dim, B) block.
+
+    The engine is real: complex amplitudes, as qc.pure() stores them, are
+    accepted only with a zero imaginary part."""
     if isinstance(states, np.ndarray) and states.ndim == 2 and states.shape[1] == dim:
         block = states.T
     else:
@@ -231,18 +231,11 @@ def _stack_states(states, dim: int) -> np.ndarray:
                 raise ValueError(f"need pure states of dim {dim}, got {type(s).__name__} {v.shape}")
             vecs.append(v)
         block = np.stack(vecs, axis=1)
-    if np.iscomplexobj(block) and np.abs(block.imag).max() == 0.0:
+    if np.iscomplexobj(block):
+        if block.imag.any():
+            raise ValueError("the engine is real: states need a zero imaginary part")
         block = block.real
-    return np.ascontiguousarray(block)
-
-
-def _noise_scale(noise: NoiseSpec) -> float:
-    """scale such that <Z> under global depolarizing noise at the input
-    is scale * <Z>_clean; Z is traceless, so the channel adds no offset.
-    Only valid for global scope."""
-    if noise.kind != "depolarizing" or noise.scope != "global":
-        return 1.0
-    return 1.0 - noise.p
+    return np.ascontiguousarray(block, dtype=float)
 
 
 def _probs_from_z(z: np.ndarray) -> np.ndarray:
@@ -262,28 +255,26 @@ def _sample_z(z_exact: np.ndarray, shots: int, rng: np.random.Generator) -> np.n
 
 
 def _observables(spec: ModelSpec, params: np.ndarray, noise: NoiseSpec) -> np.ndarray:
-    """The effective observables A_s, with <Z> = psi^dagger A_s psi, of the
+    """The effective observables A_s, with <Z> = psi^T A_s psi, of the
     rows of the (S, P) params under noise, as one (S, dim, dim) walk back.
-    A per-qubit channel acts inside A; the global channel and shots act
-    later, on <Z> (see _noisy_z)."""
+    Depolarizing noise acts inside A; shots act later, on <Z> (see
+    _noisy_z)."""
     engine = _engine_for(spec)
-    per_qubit = noise.kind == "depolarizing" and noise.scope == "per_qubit"
-    _, A = engine.walk_back(engine.layers(np.reshape(params, (-1, spec.param_count))),
-                            noise.p if per_qubit else None)
+    _, A = engine.walk_back(engine.layers(np.reshape(params, (-1, spec.param_count))), noise)
     return A
 
 
 def _read_z(A: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """z[s, b] = psi^dagger A_s psi for every column psi of states[s]:
+    """z[s, b] = psi^T A_s psi for every column psi of states[s]:
     (S, dim, dim) observables and (S, dim, B) states -> (S, B)."""
-    return np.einsum("sib,sib->sb", states.conj(), A @ states).real
+    return np.einsum("sib,sib->sb", states, A @ states)
 
 
 def _noisy_z(A: np.ndarray, noise: NoiseSpec, states,
              rng: np.random.Generator | None) -> np.ndarray:
-    """<Z> per state through one model's (1, dim, dim) observable A under
-    noise: scaled by the global channel, or drawn from rng under shots."""
-    z = _noise_scale(noise) * _read_z(A, _stack_states(states, A.shape[-1])[None])[0]
+    """<Z> per state through one model's (1, dim, dim) observable A, which
+    already holds any depolarizing channel; under shots, drawn from rng."""
+    z = _read_z(A, _stack_states(states, A.shape[-1])[None])[0]
     if noise.kind == "measurement_shots":
         if rng is None:
             raise ValueError("finite-shot evaluation needs an explicit rng")
@@ -350,36 +341,39 @@ def loss_gradient(spec: ModelSpec, params: np.ndarray, states, labels) -> np.nda
     theta = np.asarray(params, dtype=float).reshape(1, -1)
     labels = np.asarray(labels, dtype=float).reshape(1, -1)
     states_T = _stack_states(states, spec.dim)
-    _, grad = _gd_step_values(_engine_for(spec), theta, states_T[None], labels, 1.0)
+    _, grad = _gd_step_values(_engine_for(spec), theta, states_T[None], labels,
+                              NoiseSpec.none())
     return grad[0]
 
 
 def _gd_step_values(engine: _Engine, theta: np.ndarray, states: np.ndarray,
-                    labels: np.ndarray, scale: float):
+                    labels: np.ndarray, noise: NoiseSpec):
     """One epoch's (mean loss, gradient) for each of S models, by the adjoint method.
 
-    theta is (S, P), states (S, dim, B) and labels (S, B); returns the
-    (S,) losses and the (S, P) gradients. The loss is evaluated with <Z>
-    scaled by the global-noise scale; the circuit derivative dz/dtheta
-    stays noiseless by contract, so the gradient is
-    0.5 * mean_b(dL/dp_b * dz_b/dtheta) (Jones & Gacon, arXiv:2009.02823).
+    theta is (S, P), states the real (S, dim, B) and labels (S, B); returns
+    the (S,) losses and the (S, P) gradients. The loss reads <Z> through
+    the observable walk_back gives under noise, so a global channel acts
+    on it; the circuit derivative dz/dtheta stays noiseless by contract,
+    so the gradient is 0.5 * mean_b(dL/dp_b * dz_b/dtheta) (Jones & Gacon,
+    arXiv:2009.02823).
 
-    The walk back from the readout gives A_l, the observable seen just
-    after RY layer l, and z_b = psi_b^dagger A psi_b. The data then enter
-    only through C = sum_b w_b psi_b psi_b^dagger, w_b = 0.5 dL/dp_b / B,
+    The walk back from the readout gives A_l, the noiseless observable
+    seen just after RY layer l, and z_b = psi_b^T A psi_b. The data then
+    enter only through C = sum_b w_b psi_b psi_b^T, w_b = 0.5 dL/dp_b / B,
     which the walk forward turns into S_l, the weighted states just after
     layer l. The RY on qubit q in layer l has derivative G_q RY, with
-    G_q = -iY_q/2, so that slot's entry is 2 Re tr(A_l G_q S_l). Every
-    product is a stacked matmul, one GEMM per model.
+    G_q = -iY_q/2 a real matrix, so that slot's entry is
+    2 tr(A_l G_q S_l). Every product is a real stacked matmul, one GEMM
+    per model.
     """
     layers = engine.layers(theta)
-    after, A = engine.walk_back(layers)
-    p = _probs_from_z(scale * _read_z(A, states))
+    after, A = engine.walk_back(layers, noise)
+    p = _probs_from_z(_read_z(A, states))
     dldp = -labels / p + (1.0 - labels) / (1.0 - p)
     weighted = states * (0.5 * dldp / labels.shape[-1])[:, None, :]
-    S = weighted @ states.conj().transpose(0, 2, 1)
+    S = weighted @ states.transpose(0, 2, 1)
     # tr(A G S) = tr(G M) with M = S A
-    M = np.empty(layers.shape, dtype=np.result_type(S, A))
+    M = np.empty(layers.shape)
     for layer in range(layers.shape[1]):
         V = layers[:, layer]
         S = V @ S @ V.transpose(0, 2, 1)
@@ -391,9 +385,11 @@ def train(states, labels, spec: ModelSpec, cfg: TrainConfig) -> TrainedModel:
     """Fit the ansatz parameters to encoded states with {0, 1} labels.
 
     Full-batch descent for cfg.epochs steps from a small uniform random
-    initialization. Global depolarizing noise in spec.noise scales the <Z>
-    the loss reads; per-qubit noise is not supported. Deterministic for a
-    fixed seed, which draws the initialization.
+    initialization, all in float64 on real states (see _stack_states).
+    Global depolarizing noise in spec.noise acts on the observable the
+    loss reads, the gradient's circuit derivative stays noiseless, and
+    shots are ignored; per-qubit noise is not supported. Deterministic for
+    a fixed seed, which draws the initialization.
     """
     labels = np.asarray(labels, dtype=float).ravel()
     if len(states) == 0:
@@ -419,13 +415,13 @@ def _train_stack(states: np.ndarray, labels: np.ndarray, spec: ModelSpec,
         raise NotImplementedError(
             "training under per-qubit depolarizing noise is not supported; "
             "use global scope or evaluate noise at audit time only")
-    engine, scale = _engine_for(spec), _noise_scale(spec.noise)
+    engine = _engine_for(spec)
     theta = np.stack([np.random.default_rng(seed).uniform(-0.1, 0.1, spec.param_count)
                       for seed in seeds])
 
     log = np.empty((len(seeds), cfg.epochs))
     for epoch in range(cfg.epochs):
-        log[:, epoch], grad = _gd_step_values(engine, theta, states, labels, scale)
+        log[:, epoch], grad = _gd_step_values(engine, theta, states, labels, spec.noise)
         theta = theta - cfg.learning_rate * grad
 
     return [TrainedModel(spec=spec, params=t, train_log=l) for t, l in zip(theta, log)]

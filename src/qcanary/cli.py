@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -68,7 +67,6 @@ CONFIG_SCHEMA = {
     "noise.scope": ("str", "global"),
     "model.qubits": ("int", 4),
     "model.ansatz_reps": ("int", 3),
-    "model.encoding_axis": ("str", "RY"),
     "train.epochs": ("int", 30),
     "train.learning_rate": ("float", 0.1),
     "train.under_noise": ("bool", False),
@@ -81,7 +79,6 @@ CONFIG_SCHEMA = {
     "compare.p0": ("float", 0.3),
     "compare.replications": ("int", 50),
     "compare.max_n": ("int", 4096),
-    "compare.qml_trials": ("int", 0),
 }
 
 
@@ -145,7 +142,6 @@ def build_audit_config(doc: dict) -> AuditConfig:
         model = ModelSpec(
             qubits=doc["model.qubits"],
             ansatz_reps=doc["model.ansatz_reps"],
-            encoding_axis=doc["model.encoding_axis"],
             noise=noise if doc["train.under_noise"] else NoiseSpec.none(),
         )
         train = TrainConfig(
@@ -322,6 +318,14 @@ def cmd_bounds(args) -> int:
 def cmd_coverage(args) -> int:
     if args.replications < 0:
         raise ConfigError("--replications must be nonnegative")
+    if args.n < 2:
+        raise ConfigError(f"--n {args.n} must be at least 2 (the confidence bounds)")
+    if args.trial_k < 1:
+        raise ConfigError(f"--trial-k {args.trial_k} must be at least 1")
+    if args.epsilon_true < 0.0:
+        raise ConfigError(f"--epsilon-true {args.epsilon_true} must be nonnegative")
+    if not 0.0 < args.p0 < 1.0:
+        raise ConfigError(f"--p0 {args.p0} not in (0, 1)")
     if not 0.0 < args.beta < 1.0:
         raise ConfigError(f"--beta {args.beta} not in (0, 1)")
     violations = 0
@@ -365,15 +369,16 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare.ks must list positive canary counts")
     if doc["compare.replications"] < 1:
         raise ConfigError("compare.replications must be at least 1")
+    if doc["compare.max_n"] < 8:
+        raise ConfigError(f"compare.max_n {doc['compare.max_n']} is below the "
+                          "first trial count, 8")
+    if doc["compare.epsilon_true"] < 0.0:
+        raise ConfigError(f"compare.epsilon_true {doc['compare.epsilon_true']} "
+                          "must be nonnegative")
+    if not 0.0 < doc["compare.p0"] < 1.0:
+        raise ConfigError(f"compare.p0 {doc['compare.p0']} not in (0, 1)")
     if not 0.0 < doc["compare.beta"] < 1.0:
         raise ConfigError(f"compare.beta {doc['compare.beta']} not in (0, 1)")
-
-    qml_trials = doc["compare.qml_trials"]
-    base_config = dataset = None
-    if qml_trials > 0:
-        base_config = build_audit_config(doc)
-        dataset = load_dataset(doc)
-        workers = resolve_workers(args.workers, doc)
 
     rows = []
     for idx, k in enumerate(ks):
@@ -391,11 +396,6 @@ def cmd_compare(args) -> int:
             "mean_trials_to_target": float(np.mean(counts)),
             "harness_wallclock_s": time.perf_counter() - t0,
         }
-        if qml_trials > 0:
-            cfg = replace(base_config, n=max(2, qml_trials), K=k)
-            report = audit(cfg, dataset, workers=workers)
-            row["qml_seconds_per_trial"] = report.timings["trials_s"] / cfg.n
-            row["qml_epsilon_hat"] = report.estimate.epsilon_hat
         rows.append(row)
         _log(f"compare: K={k} mean trials to target "
              f"{row['mean_trials_to_target']:.1f}")
@@ -464,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="trials-to-target trend across canary counts")
     p_cmp.add_argument("--config", help="flat-key JSON config document")
     p_cmp.add_argument("--seed", type=int, help="override audit.seed")
-    p_cmp.add_argument("--workers", type=int)
     p_cmp.add_argument("--out")
     p_cmp.set_defaults(func=cmd_compare)
     return parser

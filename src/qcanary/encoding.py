@@ -75,24 +75,18 @@ class OffsetSpec:
             raise ValueError(f"gamma {self.gamma} violates the bound {g_max}")
 
 
-def _encode_rows(features: np.ndarray, axis: str, offsets=None) -> np.ndarray:
-    """(B, m) features -> (B, 2^m) amplitudes of their product encodings.
+def _encode_rows(features: np.ndarray, offsets=None) -> np.ndarray:
+    """(B, m) features -> (B, 2^m) real amplitudes of their RY encodings.
 
     Row b puts angle pi * features[b, j] (+ offsets[b, j]) on qubit j,
     features clamped to [0, 1], and multiplies the qubits out as broadcast
-    outer products in np.kron order (qubit 0 most significant). Real for
-    RY; complex for RX, whose |1> amplitude is -i sin(theta / 2).
+    outer products in np.kron order (qubit 0 most significant).
     """
     angles = math.pi * np.clip(features, 0.0, 1.0)
     if offsets is not None:
         angles = angles + offsets
     half = angles / 2.0
-    if axis == "RY":
-        factors = np.stack([np.cos(half), np.sin(half)], axis=-1)
-    elif axis == "RX":
-        factors = np.stack([np.cos(half) + 0j, -1j * np.sin(half)], axis=-1)
-    else:
-        raise ValueError(f"unsupported encoding axis {axis!r}")
+    factors = np.stack([np.cos(half), np.sin(half)], axis=-1)
     rows = angles.shape[0]
     amps = factors[:, 0]
     for q in range(1, angles.shape[1]):
@@ -100,8 +94,8 @@ def _encode_rows(features: np.ndarray, axis: str, offsets=None) -> np.ndarray:
     return amps
 
 
-def angle_encode(x, axis: str = "RY") -> PureState:
-    """Encode features as one rotation per qubit, angle pi * x_j.
+def angle_encode(x) -> PureState:
+    """Encode features as one RY rotation per qubit, angle pi * x_j.
 
     Features are clamped to [0, 1] so the base angle stays in [0, pi];
     upstream scaling should already guarantee that.
@@ -109,10 +103,10 @@ def angle_encode(x, axis: str = "RY") -> PureState:
     v = np.asarray(x, dtype=float).ravel()
     if v.size == 0:
         raise ValueError("cannot encode an empty feature vector")
-    return PureState(_encode_rows(v[None], axis)[0])
+    return PureState(_encode_rows(v[None])[0])
 
 
-def angle_encode_offset(c, alpha, axis: str = "RY") -> PureState:
+def angle_encode_offset(c, alpha) -> PureState:
     """Perturbed encoding: angle pi * c_j + alpha_j per qubit."""
     cv = np.asarray(c, dtype=float).ravel()
     av = np.asarray(alpha, dtype=float).ravel()
@@ -120,7 +114,7 @@ def angle_encode_offset(c, alpha, axis: str = "RY") -> PureState:
         raise ValueError("cannot encode an empty feature vector")
     if cv.shape != av.shape:
         raise ValueError(f"feature/offset length mismatch: {cv.shape} vs {av.shape}")
-    return PureState(_encode_rows(cv[None], axis, av[None])[0])
+    return PureState(_encode_rows(cv[None], av[None])[0])
 
 
 def sample_offsets(spec: OffsetSpec, m: int, rng: np.random.Generator) -> np.ndarray:

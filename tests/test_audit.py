@@ -397,7 +397,7 @@ def test_block_evaluation_matches_model_by_model(noise):
     draw = np.random.default_rng(3)
     models = [qc.TrainedModel(spec=spec, params=draw.uniform(-1, 1, spec.param_count),
                               train_log=()) for _ in range(3 * T)]
-    seen, unseen = (_encode_rows(draw.uniform(0, 1, (T * K, 3)), "RY").reshape(T, K, -1)
+    seen, unseen = (_encode_rows(draw.uniform(0, 1, (T * K, 3))).reshape(T, K, -1)
                     for _ in range(2))
     labels = draw.integers(0, 2, size=(T, 2 * K))
     paired, references = models[:2 * T], models[2 * T:]
@@ -472,3 +472,12 @@ def test_trials_to_target_doubling_grid(rng):
     assert n >= 8 and (n & (n - 1)) == 0  # power of two on the grid
     capped = qc.trials_to_target(10.0, 0.01, 1, 0.05, rng, max_n=64)
     assert capped == 64
+
+
+def test_harness_rejects_empty_grids_and_trials(rng):
+    # below the first grid point no estimate would run, and a trial
+    # without canaries has no rates to bound
+    with pytest.raises(ValueError, match="max_n"):
+        qc.trials_to_target(0.5, math.log(3.0), 4, 0.05, rng, max_n=4)
+    with pytest.raises(ValueError, match="K >= 1"):
+        qc.simulate_known_mechanism(0.5, 16, 0, 0.05, rng)

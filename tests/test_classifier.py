@@ -7,7 +7,8 @@ import pytest
 
 import qcanary as qc
 from qcanary import ModelSpec, NoiseSpec, TrainConfig, TrainedModel
-from qcanary.classifier import _engine_for, _stack_states, _train_stack, loss_gradient, mean_loss
+from qcanary.classifier import (_engine_for, _observables, _stack_states, _train_stack,
+                                loss_gradient, mean_loss)
 from qcanary.circuits import (Gate, apply_circuit_density, build_real_amplitudes, expectation,
                               gate_unitary, parameter_shift_gradient, with_noise_ids,
                               z_on_qubit)
@@ -92,19 +93,19 @@ def _chain_rule_gradient(z, dz, labels, scale=1.0):
 
 
 def test_loss_gradient_matches_parameter_shift_reference(rng):
-    # one qubit has no CX chain; RX inputs are complex. Features stay
-    # inside (0.2, 0.8) so no prediction sits at the clamp, where
-    # dL/dp ~ 1/p would magnify rounding in both computations
-    for qubits, reps, axis in itertools.product((1, 2, 3), (1, 2), ("RY", "RX")):
-        spec = ModelSpec(qubits=qubits, ansatz_reps=reps, encoding_axis=axis)
-        states = [qc.angle_encode(rng.uniform(0.2, 0.8, qubits), axis) for _ in range(5)]
+    # one qubit has no CX chain. Features stay inside (0.2, 0.8) so no
+    # prediction sits at the clamp, where dL/dp ~ 1/p would magnify
+    # rounding in both computations
+    for qubits, reps in itertools.product((1, 2, 3), (1, 2)):
+        spec = ModelSpec(qubits=qubits, ansatz_reps=reps)
+        states = [qc.angle_encode(rng.uniform(0.2, 0.8, qubits)) for _ in range(5)]
         labels = rng.integers(0, 2, 5).astype(float)
         params = rng.uniform(-1, 1, spec.param_count)
         z, dz = _reference_z_and_dz(spec, params, states)
         _, want = _chain_rule_gradient(z, dz, labels)
         got = loss_gradient(spec, params, states, labels)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
-                                   err_msg=f"{qubits} qubits, {reps} reps, {axis}")
+                                   err_msg=f"{qubits} qubits, {reps} reps")
 
 
 def test_training_under_global_noise_matches_parameter_shift_loop(rng):
@@ -130,8 +131,8 @@ def test_training_under_global_noise_matches_parameter_shift_loop(rng):
 
 
 def test_global_noise_scale_matches_density_walk(rng):
-    # both scopes: global noise as the scale on <Z>, per-qubit noise
-    # inside the effective observable
+    # both scopes act at one hook, on the effective observable: global
+    # noise as the scale 1 - p, per-qubit noise as its Pauli gathers
     for scope in ("global", "per_qubit"):
         spec = ModelSpec(qubits=3, ansatz_reps=2,
                          noise=NoiseSpec.depolarizing(0.13, scope=scope))
@@ -200,15 +201,14 @@ def test_train_determinism_and_progress(rng):
     assert not np.array_equal(m1.params, m3.params)
 
 
-@pytest.mark.parametrize("axis", ["RY", "RX"])
 @pytest.mark.parametrize("noise", [NoiseSpec.none(), NoiseSpec.depolarizing(0.2)])
-def test_stacked_training_matches_one_model_at_a_time(rng, axis, noise):
+def test_stacked_training_matches_one_model_at_a_time(rng, noise):
     # each model of a stack sees only its own slice of every matmul, so
     # the stack must reproduce train() on that model alone, bit for bit
-    spec = ModelSpec(qubits=3, ansatz_reps=2, encoding_axis=axis, noise=noise)
+    spec = ModelSpec(qubits=3, ansatz_reps=2, noise=noise)
     cfg = TrainConfig(epochs=12, learning_rate=0.3)
     for S in (1, 2, 5):
-        data = [[qc.angle_encode(rng.uniform(0, 1, 3), axis) for _ in range(9)]
+        data = [[qc.angle_encode(rng.uniform(0, 1, 3)) for _ in range(9)]
                 for _ in range(S)]
         labels = rng.integers(0, 2, size=(S, 9)).astype(float)
         seeds = [int(seed) for seed in rng.integers(2**63, size=S)]
@@ -257,6 +257,34 @@ def test_per_qubit_channel_matches_complex_pauli_products(rng):
                 assert np.array_equal(got[s], want.real), (qubits, S, p, q, s)
 
 
+def test_engine_is_real(rng):
+    # the engine runs in float64: a complex state is read only when its
+    # imaginary part is zero, and then gives the bits of its real twin
+    spec = ModelSpec(qubits=2, ansatz_reps=1, noise=NoiseSpec.depolarizing(0.1))
+    cfg = TrainConfig(epochs=3, learning_rate=0.3, seed=2)
+    real = [qc.angle_encode(x) for x in rng.uniform(0, 1, (4, 2))]
+    labels = [0, 1, 1, 0]
+    twins = [qc.pure(st.amps) for st in real]
+    assert all(np.iscomplexobj(st.amps) for st in twins)
+    phased = [qc.pure(st.amps * 1j) for st in real]
+
+    model = qc.train(real, labels, spec, cfg)
+    assert model.params.dtype == np.float64
+    assert _observables(spec, model.params, spec.noise).dtype == np.float64
+    twin_model = qc.train(twins, labels, spec, cfg)
+    assert np.array_equal(twin_model.params, model.params)
+    assert np.array_equal(qc.evaluate_losses(model, twins, labels),
+                          qc.evaluate_losses(model, real, labels))
+    assert qc.predict(model, twins[0]) == qc.predict(model, real[0])
+
+    with pytest.raises(ValueError, match="imaginary"):
+        qc.predict(model, phased[0])
+    with pytest.raises(ValueError, match="imaginary"):
+        qc.evaluate_losses(model, phased, labels)
+    with pytest.raises(ValueError, match="imaginary"):
+        qc.train(phased, labels, spec, cfg)
+
+
 def test_under_noise_training_uses_noisy_forward(rng):
     ds = qc.synth_gaussians(2, 12, 3.0, rng)
     states = [qc.angle_encode(x) for x in ds.features]
@@ -292,8 +320,6 @@ def test_eval_model_swaps_noise_only(rng):
 def test_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec(qubits=0)
-    with pytest.raises(ValueError):
-        ModelSpec(qubits=2, encoding_axis="RZ")
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):

@@ -172,7 +172,7 @@ def test_config_error_exits_2_without_output(tmp_path):
     removed = ({"train.optimizer": "gradient_descent"}, {"model.train_shots": None},
                {"audit.statistic": "per_canary"}, {"audit.eval_encoding": "phi2"},
                {"audit.kappa_value": 0.5}, {"model.noise_placement": "input"},
-               {"audit.kappa_rule": "fixed"})
+               {"audit.kappa_rule": "fixed"}, {"model.encoding_axis": "RY"})
     for extra in ({**shots, "audit.theory_delta": 1.5}, {**shots, "audit.theory_r": -1},
                   {"audit.delta_conf": 1.5}, *removed):
         assert main(["audit", "--config", write_config(tmp_path, extra),
@@ -319,6 +319,30 @@ def test_compare_rejects_beta_outside_unit_interval(tmp_path):
         assert not os.path.exists(out)
 
 
+def test_coverage_checks_harness_inputs_before_any_replication(tmp_path):
+    # each bad input fails the config check, with or without replications
+    for flags in (["--trial-k", "0"], ["--n", "1"], ["--p0", "1.5"], ["--p0", "0"],
+                  ["--epsilon-true", "-0.5"]):
+        for reps in ("0", "2"):
+            out = str(tmp_path / "never.json")
+            assert main(["coverage", "--n", "16", *flags, "--replications", reps,
+                         "--out", out]) == 2, (flags, reps)
+            assert not os.path.exists(out)
+
+
+def test_compare_checks_harness_inputs_before_any_replication(tmp_path):
+    # max_n below the grid would report max_n without a single estimate;
+    # qml_trials is a removed key
+    for extra in ({"compare.max_n": 4}, {"compare.p0": 1.5}, {"compare.p0": 0.0},
+                  {"compare.epsilon_true": -0.5}, {"compare.qml_trials": 0}):
+        cfg = tmp_path / "cmp.json"
+        cfg.write_text(json.dumps({"compare.ks": [4], "compare.replications": 2, **extra}))
+        out = str(tmp_path / "never.json")
+        assert main(["compare", "--config", str(cfg), "--out", out]) == 2, extra
+        assert not os.path.exists(out)
+
+
 def test_usage_error_exit_code():
     assert main(["audit", "--no-such-flag"]) == 2
+    assert main(["compare", "--workers", "2"]) == 2  # a removed flag
     assert main([]) == 2

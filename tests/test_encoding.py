@@ -93,21 +93,19 @@ def test_offset_encoding_shifts_angle():
                        atol=1e-14)
 
 
-def _kron_encoding(features, offsets, axis):
-    """The product state built qubit by qubit with np.kron."""
+def _kron_encoding(features, offsets):
+    """The RY product state built qubit by qubit with np.kron."""
     angles = math.pi * np.clip(features, 0.0, 1.0)
     if offsets is not None:
         angles = angles + offsets
     amps = np.array([1.0 + 0.0j])
     for theta in angles:
         c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        qubit = [c, s] if axis == "RY" else [c, -1j * s]
-        amps = np.kron(amps, np.array(qubit, dtype=complex))
+        amps = np.kron(amps, np.array([c, s], dtype=complex))
     return amps
 
 
-@pytest.mark.parametrize("axis", ["RY", "RX"])
-def test_block_encoder_matches_kron_reference(rng, axis):
+def test_block_encoder_matches_kron_reference(rng):
     m, dim = 4, 16
     # features beyond [0, 1] clamp at both ends
     feats = rng.uniform(-0.3, 1.3, size=(40, m))
@@ -117,26 +115,18 @@ def test_block_encoder_matches_kron_reference(rng, axis):
                       -spec.gamma, spec.gamma)
     assert (np.abs(offsets) == spec.gamma).any()
     for offs in (None, offsets):
-        got = _stack_states(_encode_rows(feats, axis, offs), dim)
-        want = _stack_states([_kron_encoding(f, None if offs is None else o, axis)
+        got = _stack_states(_encode_rows(feats, offs), dim)
+        want = _stack_states([_kron_encoding(f, None if offs is None else o)
                               for f, o in zip(feats, offsets)], dim)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
     # the one-state encoders are the block's one-row case
-    one = _stack_states([qc.angle_encode(feats[0], axis),
-                         qc.angle_encode_offset(feats[1], offsets[1], axis)], dim)
-    want = _stack_states([_kron_encoding(feats[0], None, axis),
-                          _kron_encoding(feats[1], offsets[1], axis)], dim)
+    one = _stack_states([qc.angle_encode(feats[0]),
+                         qc.angle_encode_offset(feats[1], offsets[1])], dim)
+    want = _stack_states([_kron_encoding(feats[0], None),
+                          _kron_encoding(feats[1], offsets[1])], dim)
     assert one.dtype == want.dtype
     assert np.array_equal(one, want)
-
-
-def test_rx_axis_supported():
-    st = qc.angle_encode([0.5], axis="RX")
-    assert st.amps[0] == pytest.approx(math.cos(math.pi / 4), abs=1e-14)
-    assert st.amps[1] == pytest.approx(-1j * math.sin(math.pi / 4), abs=1e-14)
-    with pytest.raises(ValueError):
-        qc.angle_encode([0.5], axis="RZ")
 
 
 # pair distances -------------------------------------------------------------
