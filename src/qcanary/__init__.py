@@ -17,9 +17,9 @@ from .audit import (AuditConfig, AuditReport, DomainError, EpsilonEstimate,
 from .circuits import (Gate, Observable, ParamCircuit, apply_circuit_density,
                        apply_circuit_pure, build_real_amplitudes,
                        expectation, gate_unitary, parameter_shift_gradient,
-                       rotation_matrix, with_noise_ids, z_on_qubit)
+                       z_on_qubit)
 from .classifier import (ModelSpec, TrainConfig, TrainedModel, eval_model,
-                         evaluate_losses, loss, loss_gradient, mean_loss,
+                         evaluate_losses, loss_gradient, mean_loss,
                          predict, train)
 from .data import Dataset, load_csv, load_iris_binary, synth_gaussians
 from .encoding import (OffsetSpec, angle_encode, angle_encode_offset,
@@ -45,13 +45,13 @@ __all__ = [
     "estimate_epsilon", "eval_model",
     "evaluate_losses", "expectation", "gamma_bound",
     "gate_unitary", "generate_canaries", "hermitian_eigenvalues",
-    "load_csv", "load_iris_binary", "loss", "loss_gradient",
+    "load_csv", "load_iris_binary", "loss_gradient",
     "mean_loss", "pair_distances",
     "parameter_shift_gradient", "predict", "pure", "pure_to_density",
-    "pure_trace_distance", "rotation_matrix", "run_trial",
+    "pure_trace_distance", "run_trial",
     "sample_complexity_estimate", "sample_offsets",
     "sigma_bound", "simulate_known_mechanism", "synth_gaussians",
     "theory_epsilon_depolarizing",
     "theory_epsilon_measurement", "trace_distance", "train",
-    "trials_to_target", "with_noise_ids", "z_on_qubit",
+    "trials_to_target", "z_on_qubit",
 ]

@@ -99,6 +99,8 @@ class AuditConfig:
             raise ValueError(f"unknown kappa rule {self.kappa_rule!r}")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be nonnegative")
         if self.model.noise.kind == "depolarizing" and self.model.noise.scope == "per_qubit":
             raise ValueError("training under per-qubit depolarizing noise is not supported; "
                              "use global scope or evaluate noise at audit time only")

@@ -246,6 +246,13 @@ def _bce(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
 
 
+def _binary_labels(labels) -> np.ndarray:
+    labels = np.asarray(labels, dtype=float)
+    if not np.all((labels == 0.0) | (labels == 1.0)):
+        raise ValueError("labels must be 0 or 1")
+    return labels
+
+
 def _sample_z(z_exact: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Finite-shot estimate of <Z> from measurement counts: the count of
     +1 outcomes is binomial with probability (1 + <Z>)/2."""
@@ -304,24 +311,16 @@ def predict(model: TrainedModel, state, rng: np.random.Generator | None = None) 
     return float(np.clip((1.0 + z) / 2.0, 0.0, 1.0))
 
 
-def loss(model: TrainedModel, state, label: int,
-         rng: np.random.Generator | None = None) -> float:
-    """Binary cross-entropy of predict() against a {0, 1} label."""
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label!r}")
-    p = np.clip(predict(model, state, rng), P_CLAMP, 1.0 - P_CLAMP)
-    return float(_bce(np.asarray(p), float(label)))
-
-
 def evaluate_losses(model: TrainedModel, states, labels,
                     rng: np.random.Generator | None = None) -> np.ndarray:
-    """Per-input losses, in input order, under the model's noise spec.
+    """Per-input binary cross-entropy losses against {0, 1} labels, in
+    input order, under the model's noise spec.
 
     states is a sequence of encoded states or a (B, dim) array of
     amplitude rows."""
     noise = model.spec.noise
     return _read_losses(_observables(model.spec, model.params, noise), noise,
-                        states, labels, rng)
+                        states, _binary_labels(labels), rng)
 
 
 def mean_loss(spec: ModelSpec, params: np.ndarray, states, labels) -> float:
@@ -408,9 +407,7 @@ def _train_stack(states: np.ndarray, labels: np.ndarray, spec: ModelSpec,
     labels[s] from the initialization seeds[s] draws; cfg.seed is unused.
     Each model ends on the same bits as train() gives it alone.
     """
-    labels = np.asarray(labels, dtype=float)
-    if not np.all((labels == 0.0) | (labels == 1.0)):
-        raise ValueError("labels must be 0 or 1")
+    labels = _binary_labels(labels)
     if spec.noise.kind == "depolarizing" and spec.noise.scope == "per_qubit":
         raise NotImplementedError(
             "training under per-qubit depolarizing noise is not supported; "

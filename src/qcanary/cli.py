@@ -172,6 +172,9 @@ def load_dataset(doc: dict):
         return load_csv(path, doc["dataset.label_column"],
                         keep_classes=tuple(classes) if classes else None)
     if source == "synth":
+        if doc["dataset.synth_seed"] < 0:
+            raise ConfigError(f"dataset.synth_seed {doc['dataset.synth_seed']} "
+                              "must be nonnegative")
         rng = np.random.default_rng(doc["dataset.synth_seed"])
         return synth_gaussians(doc["dataset.synth_features"],
                                doc["dataset.synth_per_class"],
@@ -300,17 +303,24 @@ def cmd_bounds(args) -> int:
                       "shots": args.shots, "r": args.r, "mu": args.mu,
                       "target_delta": args.target_delta,
                       "delta_conf": args.delta_conf}}
-    out["sigma_max"] = sigma_bound(args.d, args.delta_conf)
-    out["gamma"] = gamma_bound(args.d)
-    if args.p is not None:
-        out["depolarizing_epsilon"] = theory_epsilon_depolarizing(
-            args.p, args.d, args.dim)
-    if args.shots is not None:
-        if args.mu is None:
-            raise ConfigError("--shots needs --mu for the finite-shot bound")
-        eps, c = theory_epsilon_measurement(args.shots, args.d, args.r,
-                                            args.mu, args.target_delta)
-        out["measurement"] = {"epsilon": eps, "c": c}
+    # a flag outside a bound's inputs is a config error; a DomainError, a
+    # bound that does not hold at these inputs, stays a runtime failure
+    try:
+        out["sigma_max"] = sigma_bound(args.d, args.delta_conf)
+        out["gamma"] = gamma_bound(args.d)
+        if args.p is not None:
+            out["depolarizing_epsilon"] = theory_epsilon_depolarizing(
+                args.p, args.d, args.dim)
+        if args.shots is not None:
+            if args.mu is None:
+                raise ConfigError("--shots needs --mu for the finite-shot bound")
+            eps, c = theory_epsilon_measurement(args.shots, args.d, args.r,
+                                                args.mu, args.target_delta)
+            out["measurement"] = {"epsilon": eps, "c": c}
+    except DomainError:
+        raise
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     emit_json(out, args.out)
     return 0
 
@@ -328,6 +338,8 @@ def cmd_coverage(args) -> int:
         raise ConfigError(f"--p0 {args.p0} not in (0, 1)")
     if not 0.0 < args.beta < 1.0:
         raise ConfigError(f"--beta {args.beta} not in (0, 1)")
+    if args.seed < 0:
+        raise ConfigError(f"--seed {args.seed} must be nonnegative")
     violations = 0
     estimates = []
     rep_seeds = []
@@ -379,6 +391,8 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"compare.p0 {doc['compare.p0']} not in (0, 1)")
     if not 0.0 < doc["compare.beta"] < 1.0:
         raise ConfigError(f"compare.beta {doc['compare.beta']} not in (0, 1)")
+    if doc["audit.seed"] < 0:
+        raise ConfigError(f"audit.seed {doc['audit.seed']} must be nonnegative")
 
     rows = []
     for idx, k in enumerate(ks):

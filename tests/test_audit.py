@@ -292,7 +292,7 @@ def test_config_validation(dataset):
         small_config(kappa_rule="oracle")
     for field, value in (("delta_conf", 0.0), ("delta_conf", 1.5),
                          ("theory_delta", 0.0), ("theory_delta", 1.5),
-                         ("theory_r", -1)):
+                         ("theory_r", -1), ("seed", -1)):
         with pytest.raises(ValueError):
             small_config(**{field: value})
 

@@ -10,20 +10,6 @@ from qcanary.states import pure_to_density
 from conftest import random_pure
 
 
-def ry(theta):
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]])
-
-
-def test_rotation_matrices():
-    assert np.allclose(qc.rotation_matrix("RY", 0.7), ry(0.7), atol=1e-14)
-    rx = qc.rotation_matrix("RX", 0.7)
-    assert np.allclose(rx, np.array([[math.cos(0.35), -1j * math.sin(0.35)],
-                                     [-1j * math.sin(0.35), math.cos(0.35)]]), atol=1e-14)
-    rz = qc.rotation_matrix("RZ", 0.7)
-    assert np.allclose(rz, np.diag([np.exp(-0.35j), np.exp(0.35j)]), atol=1e-14)
-
-
 def test_cx_matrix_msb_control():
     circ = qc.ParamCircuit(qubits=2, gates=(Gate("CX", (0, 1)),), param_count=0)
     u = gate_unitary(circ.gates[0], circ, np.array([]))
@@ -101,14 +87,6 @@ def test_parameter_shift_shared_slot():
     assert grad[0] == pytest.approx(-2 * math.sin(2 * theta), abs=1e-12)
 
 
-def test_noise_slot_counts():
-    base = qc.build_real_amplitudes(4, 2)
-    assert len(qc.with_noise_ids(base).noise_slots) == 4
-    assert len(qc.with_noise_ids(base, "global").noise_slots) == 1
-    with pytest.raises(ValueError):
-        qc.with_noise_ids(base, "output")
-
-
 def test_density_walk_matches_pure_when_noiseless(rng):
     circ = qc.build_real_amplitudes(3, 2)
     params = rng.uniform(-1, 1, circ.param_count)
@@ -120,7 +98,7 @@ def test_density_walk_matches_pure_when_noiseless(rng):
 
 
 def test_full_depolarizing_kills_expectation(rng):
-    circ = qc.with_noise_ids(qc.build_real_amplitudes(2, 1), "global")
+    circ = qc.build_real_amplitudes(2, 1)
     params = rng.uniform(-1, 1, circ.param_count)
     rho = qc.apply_circuit_density(circ, params, pure_to_density(random_pure(rng, 4)),
                                    qc.NoiseSpec.depolarizing(1.0))
@@ -131,11 +109,11 @@ def test_gate_validation():
     with pytest.raises(ValueError):
         Gate("CX", (0,))
     with pytest.raises(ValueError):
-        Gate("RY", (0,))  # rotation without an angle source
+        Gate("RY", (0,))  # rotation without a param slot
     with pytest.raises(ValueError):
-        Gate("RY", (0,), param_slot=0, angle=0.3)
+        Gate("CX", (0, 1), param_slot=0)
     with pytest.raises(ValueError):
-        Gate("H", (0,), param_slot=0)
+        Gate("H", (0,))  # not in the gate set
 
 
 def test_circuit_slot_range_checked():

@@ -10,8 +10,7 @@ from qcanary import ModelSpec, NoiseSpec, TrainConfig, TrainedModel
 from qcanary.classifier import (_engine_for, _observables, _stack_states, _train_stack,
                                 loss_gradient, mean_loss)
 from qcanary.circuits import (Gate, apply_circuit_density, build_real_amplitudes, expectation,
-                              gate_unitary, parameter_shift_gradient, with_noise_ids,
-                              z_on_qubit)
+                              gate_unitary, parameter_shift_gradient, z_on_qubit)
 from qcanary.noise import _depolarize_qubit_mat
 from qcanary.states import pure_to_density
 
@@ -31,16 +30,18 @@ def test_predict_single_qubit_closed_form():
 def test_loss_values():
     model = _fixed_model()
     st = qc.angle_encode([1 / 3])  # p = 0.75
-    assert qc.loss(model, st, 1) == pytest.approx(-math.log(0.75), abs=1e-12)
-    assert qc.loss(model, st, 0) == pytest.approx(-math.log(0.25), abs=1e-12)
-    with pytest.raises(ValueError):
-        qc.loss(model, st, 2)
+    got = qc.evaluate_losses(model, [st, st], [1, 0])
+    assert got[0] == pytest.approx(-math.log(0.75), abs=1e-12)
+    assert got[1] == pytest.approx(-math.log(0.25), abs=1e-12)
+    for bad in (2, -1, 0.5):
+        with pytest.raises(ValueError, match="0 or 1"):
+            qc.evaluate_losses(model, [st, st], [1, bad])
 
 
 def test_loss_clamp_keeps_values_finite():
     model = _fixed_model()
     st = qc.angle_encode([1.0])  # p = 0 exactly
-    val = qc.loss(model, st, 1)
+    val = qc.evaluate_losses(model, [st], [1])[0]
     assert math.isfinite(val)
     assert val == pytest.approx(-math.log(1e-9), rel=1e-6)
 
@@ -52,7 +53,7 @@ def test_evaluate_losses_matches_loss_loop(rng):
     states = [qc.angle_encode(rng.uniform(0, 1, 2)) for _ in range(7)]
     labels = rng.integers(0, 2, 7)
     batch = qc.evaluate_losses(model, states, labels)
-    singles = [qc.loss(model, s, int(l)) for s, l in zip(states, labels)]
+    singles = [qc.evaluate_losses(model, [s], [l])[0] for s, l in zip(states, labels)]
     assert np.allclose(batch, singles, atol=1e-12)
 
 
@@ -141,7 +142,7 @@ def test_global_noise_scale_matches_density_walk(rng):
         model = TrainedModel(spec=spec, params=params, train_log=())
         fast = qc.predict(model, st)
 
-        circ = with_noise_ids(build_real_amplitudes(3, 2), scope)
+        circ = build_real_amplitudes(3, 2)
         rho = apply_circuit_density(circ, params, pure_to_density(st), spec.noise)
         z = float(np.trace(np.asarray(z_on_qubit(spec.qubits).matrix) @ rho.mat).real)
         assert fast == pytest.approx((1 + z) / 2, abs=1e-12)
@@ -161,7 +162,7 @@ def test_total_depolarizing_predicts_half_exactly(rng):
     model = TrainedModel(spec=spec, params=params, train_log=())
     p = qc.predict(model, qc.angle_encode([0.3, 0.8]))
     assert p == 0.5  # scale is exactly zero, no float residue allowed
-    assert qc.loss(model, qc.angle_encode([0.3, 0.8]), 1) == math.log(2.0)
+    assert qc.evaluate_losses(model, [qc.angle_encode([0.3, 0.8])], [1])[0] == math.log(2.0)
 
 
 def test_shot_noise_needs_rng_and_is_deterministic(rng):

@@ -8,7 +8,7 @@ import pytest
 
 from qcanary import AuditConfig, load_iris_binary, run_trial
 from qcanary.cli import (CONFIG_SCHEMA, ConfigError, build_audit_config,
-                         load_config, main, resolve_workers)
+                         load_config, load_dataset, main, resolve_workers)
 
 SMALL = {
     "dataset.source": "synth",
@@ -82,11 +82,16 @@ def test_invalid_field_is_config_error():
     for key, value in (("audit.beta", 2.0), ("audit.n", 1),
                        ("audit.delta_conf", 1.5), ("audit.delta_conf", 0.0),
                        ("audit.theory_delta", 1.5), ("audit.theory_r", -1),
-                       ("model.qubits", 0), ("train.epochs", 0), ("noise.p", 2.0)):
+                       ("model.qubits", 0), ("train.epochs", 0), ("noise.p", 2.0),
+                       ("audit.seed", -1)):
         doc = load_config(None)
         doc[key] = value
         with pytest.raises(ConfigError):
             build_audit_config(doc)
+    doc = load_config(None)
+    doc.update({"dataset.source": "synth", "dataset.synth_seed": -1})
+    with pytest.raises(ConfigError):
+        load_dataset(doc)
 
 
 def test_resolve_workers_priority(monkeypatch):
@@ -174,10 +179,14 @@ def test_config_error_exits_2_without_output(tmp_path):
                {"audit.kappa_value": 0.5}, {"model.noise_placement": "input"},
                {"audit.kappa_rule": "fixed"}, {"model.encoding_axis": "RY"})
     for extra in ({**shots, "audit.theory_delta": 1.5}, {**shots, "audit.theory_r": -1},
-                  {"audit.delta_conf": 1.5}, *removed):
+                  {"audit.delta_conf": 1.5}, {"audit.seed": -1},
+                  {"dataset.synth_seed": -1}, *removed):
         assert main(["audit", "--config", write_config(tmp_path, extra),
                      "--out", out]) == 2
         assert not os.path.exists(out)
+    assert main(["audit", "--config", write_config(tmp_path), "--seed", "-1",
+                 "--out", out]) == 2
+    assert not os.path.exists(out)
 
 
 def test_per_qubit_training_noise_exits_2_before_training(tmp_path):
@@ -245,6 +254,20 @@ def test_bounds_command(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["depolarizing_epsilon"] == pytest.approx(np.log(3.0), abs=1e-12)
     assert doc["gamma"] == pytest.approx(np.pi, abs=1e-12)
+
+
+def test_bounds_bad_flag_values_exit_2(tmp_path):
+    # a value outside a bound's inputs is a config problem, like a
+    # missing --mu; no report is written
+    out = str(tmp_path / "never.json")
+    shots = ["--shots", "100", "--mu", "0.3"]
+    for flags in (["--d", "0"], ["--d", "2"], ["--d", "0.1", "--p", "1.5"],
+                  ["--d", "0.1", "--p", "0.05", "--dim", "1"],
+                  ["--d", "0.1", "--shots", "0", "--mu", "0.3"],
+                  ["--d", "0.1", "--delta-conf", "0"],
+                  ["--d", "0.1", *shots, "--target-delta", "2"]):
+        assert main(["bounds", *flags, "--out", out]) == 2, flags
+        assert not os.path.exists(out)
 
 
 def test_bounds_domain_error_exits_1(capsys):
@@ -322,7 +345,7 @@ def test_compare_rejects_beta_outside_unit_interval(tmp_path):
 def test_coverage_checks_harness_inputs_before_any_replication(tmp_path):
     # each bad input fails the config check, with or without replications
     for flags in (["--trial-k", "0"], ["--n", "1"], ["--p0", "1.5"], ["--p0", "0"],
-                  ["--epsilon-true", "-0.5"]):
+                  ["--epsilon-true", "-0.5"], ["--seed", "-1"]):
         for reps in ("0", "2"):
             out = str(tmp_path / "never.json")
             assert main(["coverage", "--n", "16", *flags, "--replications", reps,
@@ -334,7 +357,8 @@ def test_compare_checks_harness_inputs_before_any_replication(tmp_path):
     # max_n below the grid would report max_n without a single estimate;
     # qml_trials is a removed key
     for extra in ({"compare.max_n": 4}, {"compare.p0": 1.5}, {"compare.p0": 0.0},
-                  {"compare.epsilon_true": -0.5}, {"compare.qml_trials": 0}):
+                  {"compare.epsilon_true": -0.5}, {"compare.qml_trials": 0},
+                  {"audit.seed": -1}):
         cfg = tmp_path / "cmp.json"
         cfg.write_text(json.dumps({"compare.ks": [4], "compare.replications": 2, **extra}))
         out = str(tmp_path / "never.json")
