@@ -8,23 +8,26 @@ other model, which never saw the offset encodings, does not recognize a
 fresh unseen set. By default a canary counts as recognized when the
 audited model's loss on it is below that of a canary-free reference
 trained from the same initialization, which cancels how easy each canary
-happens to be (Carlini et al., LiRA, arXiv:2112.03570). Indicator matrices
-over n independent trials feed confidence bounds whose gap yields an
-empirical lower bound epsilon_hat on the privacy budget, with failure
-probability at most beta: by default a betting bound on the mean per-trial
-seen-minus-unseen difference (Waudby-Smith & Ramdas, arXiv:2010.09686),
-or the paper's empirical-Bernstein bounds. Closed-form upper bounds for
-the depolarizing and finite-shot mechanisms are computed alongside so the
-two directions can be compared.
+happens to be (Carlini et al., LiRA, arXiv:2112.03570); the paper's rule
+uses one calibrated global threshold instead. kappa reports the median of
+the per-canary thresholds, under the paper's rule the global threshold
+itself. Indicator matrices over n independent trials feed confidence
+bounds whose gap yields an empirical lower bound epsilon_hat on the
+privacy budget, with failure probability at most beta: by default a
+betting bound on the mean per-trial seen-minus-unseen difference
+(Waudby-Smith & Ramdas, arXiv:2010.09686), or the paper's
+empirical-Bernstein bounds. Closed-form upper bounds for the depolarizing
+and finite-shot mechanisms are computed alongside so the two directions
+can be compared.
 
 Trials are independent and keyed by (master seed, trial index). They run
 in blocks of TRIAL_BLOCK consecutive trials: every trial of a block draws
-its canaries and initialization from its own stream, the block's models
-train as one stack, their observables under the evaluation noise come
-from one walk back, and each trial then evaluates from its own stream
-again. A stacked model trains and reads out to the same bits as a lone
-one, so block size, order and process placement leave every output bit
-unchanged.
+its canaries, offsets and initialization from its own stream, the block's
+models train as one stack, their observables under the evaluation noise
+come from one walk back, and each trial then evaluates from its own
+stream again. A stacked model trains and reads out to the same bits as a
+lone one, so block size, order and process placement leave every output
+bit unchanged.
 """
 
 from __future__ import annotations
@@ -154,10 +157,10 @@ class EpsilonEstimate:
 class AuditReport:
     """Everything one audit produced.
 
-    Under 'calibrated_median', kappa is the global loss threshold a canary
-    had to beat. Under 'reference' no global threshold is applied: each
-    canary is compared with its own reference loss, and kappa is only a
-    summary, the median of those per-canary thresholds.
+    kappa is the median of the per-canary loss thresholds a canary had to
+    beat. Under 'calibrated_median' every threshold is the global one, so
+    kappa is that threshold itself. Under 'reference' each canary is
+    compared with its own reference loss, and kappa is only a summary.
     """
 
     estimate: EpsilonEstimate
@@ -180,7 +183,8 @@ def _check_indicator_matrix(matrix) -> np.ndarray:
         m = m[:, None]
     if m.ndim != 2 or m.shape[0] < 2:
         raise ValueError("need a 2-d matrix with at least two trial rows")
-    if m.min() < 0.0 or m.max() > 1.0:
+    # written so that NaN, for which every comparison is False, fails too
+    if not ((m >= 0.0) & (m <= 1.0)).all():
         raise ValueError("matrix entries must lie in [0, 1]")
     return m
 
@@ -278,6 +282,8 @@ def epsilon_hat(p1_lower: float, p0_upper: float, delta: float = 0.0) -> float:
     for name, v in (("p1_lower", p1_lower), ("p0_upper", p0_upper)):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{name} = {v} not in [0, 1]")
+    if not 0.0 <= delta < 1.0:
+        raise ValueError(f"delta {delta} not in [0, 1)")
     numerator = p1_lower - delta
     if numerator <= 0.0:
         return 0.0
@@ -303,6 +309,8 @@ def estimate_epsilon(x, y, beta: float, delta: float = 0.0,
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"failure probability {beta} not in (0, 1)")
+    if not 0.0 <= delta < 1.0:
+        raise ValueError(f"delta {delta} not in [0, 1)")
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     x = _check_indicator_matrix(x)
@@ -442,88 +450,85 @@ def _kappa_seed_seq(config: AuditConfig) -> np.random.SeedSequence:
     return np.random.SeedSequence(config.seed, spawn_key=(1,))
 
 
-def run_trial(trial_index: int, config: AuditConfig, dataset: Dataset,
-              kappa: float | None = None):
+def run_trial(trial_index: int, config: AuditConfig, dataset: Dataset):
     """One paired-model trial; returns the seen and unseen indicator rows.
 
-    With kappa given, a canary is recognized when its loss is below that
-    global threshold. Otherwise config.kappa_rule decides: 'reference'
-    compares each canary's loss with its loss under the trial's reference
-    model, 'calibrated_median' resolves a global kappa via calibrate_kappa.
-    The trial's entire randomness derives from (config.seed, trial_index),
-    so any execution order, block or process placement yields the same rows.
+    config.kappa_rule decides each canary's threshold: 'reference' uses its
+    loss under the trial's reference model, 'calibrated_median' the global
+    kappa of calibrate_kappa. The trial's entire randomness derives from
+    (config.seed, trial_index), so any execution order, block or process
+    placement yields the same rows.
     """
     base_states = _encode_rows(dataset.features)
+    kappa = (_calibration(dataset, config, base_states)[0]
+             if config.kappa_rule == "calibrated_median" else None)
     [(x_row, y_row, _)] = _run_block(range(trial_index, trial_index + 1), config,
                                      dataset, kappa, base_states)
     return x_row, y_row
 
 
+def _draw_canaries(dataset: Dataset, config: AuditConfig, count: int,
+                   rng: np.random.Generator):
+    """count canaries and their encoding offsets, drawn from rng in that
+    order: (features, labels, offsets), one offset row per canary.
+
+    Adjacency is guaranteed by clipping; refuse to continue if it ever
+    fails, since epsilon_hat is meaningless without it.
+    """
+    feats, labels = generate_canaries(dataset, count, rng)
+    spec_off = OffsetSpec(d=config.d, delta_conf=config.delta_conf)
+    offsets = sample_offsets(spec_off, feats.shape, rng)
+    worst = np.abs(np.sin(offsets / 2.0)).max()
+    if worst > config.d + 1e-12:
+        raise ValueError(f"canary adjacency violated: {worst} > d = {config.d}")
+    return feats, labels, offsets
+
+
 def _run_block(indices: range, config: AuditConfig, dataset: Dataset,
                kappa: float | None, base_states: np.ndarray) -> list:
-    """run_trial's rows for consecutive trials, each with its per-canary
-    thresholds, seen then unseen, under the reference rule (None under a
-    global kappa). base_states are the dataset's amplitude rows, encoded
-    once per audit."""
-    if kappa is None and config.kappa_rule != "reference":
-        kappa = calibrate_kappa(dataset, config)
-    K, m = config.K, dataset.feature_count
-    spec_off = OffsetSpec(d=config.d, delta_conf=config.delta_conf)
+    """run_trial's rows for consecutive trials, each with its 2K per-canary
+    thresholds, seen then unseen: the reference losses under the
+    'reference' rule, else the calibrated global kappa. base_states are the
+    dataset's amplitude rows, encoded once per audit."""
+    K, m, dim = config.K, dataset.feature_count, config.model.dim
 
-    # 1. each trial's draws, from its own stream in the order of a lone trial
-    draws = []
+    # draw: each trial's canaries, offsets (the first K train, the last K
+    # evaluate) and initialization, from its own stream in the order of a
+    # lone trial. The initialization depends on the trial seed alone, never
+    # on which canaries are seen, and all models of the trial share it
+    rngs, draws, init_seeds = [], [], []
     for index in indices:
         rng = np.random.default_rng(_trial_seed_seq(config, index))
-        feats, labels = generate_canaries(dataset, 2 * K, rng)
-        train_offsets = np.stack([sample_offsets(spec_off, m, rng) for _ in range(K)])
-        eval_offsets = np.stack([sample_offsets(spec_off, m, rng) for _ in range(K)])
+        draws.append(_draw_canaries(dataset, config, 2 * K, rng))
+        init_seeds.append(int(rng.integers(2**63)))
+        rngs.append(rng)
+    T = len(rngs)
+    feats, labels, offsets = (np.stack(d) for d in zip(*draws))
+    seen_phi1 = _encode_rows(feats[:, :K].reshape(T * K, m)).reshape(T, K, -1)
+    phi2 = _encode_rows(feats.reshape(-1, m), offsets.reshape(-1, m)).reshape(T, 2 * K, -1)
 
-        # adjacency is guaranteed by clipping; refuse to continue if it ever
-        # fails, since epsilon_hat is meaningless without it
-        worst = max(np.abs(np.sin(train_offsets / 2.0)).max(),
-                    np.abs(np.sin(eval_offsets / 2.0)).max())
-        if worst > config.d + 1e-12:
-            raise ValueError(f"canary adjacency violated: {worst} > d = {config.d}")
-
-        # the initialization depends on the trial seed alone, never on which
-        # canaries are seen, and all models of the trial share it
-        init_seed = int(rng.integers(2**63))
-        draws.append((rng, feats, labels, train_offsets, eval_offsets, init_seed))
-    rngs, feats, labels, train_offsets, eval_offsets, init_seeds = zip(*draws)
-    T, feats, labels = len(draws), np.stack(feats), np.stack(labels)
-    seen_feats = feats[:, :K].reshape(T * K, m)
-    seen_phi1 = _encode_rows(seen_feats).reshape(T, K, -1)
-    seen_phi2 = _encode_rows(seen_feats, np.concatenate(train_offsets)).reshape(T, K, -1)
-    unseen_phi2 = _encode_rows(feats[:, K:].reshape(T * K, m),
-                               np.concatenate(eval_offsets)).reshape(T, K, -1)
-
-    # 2. theta0 (on phi1) and theta1 (on phi2) of every trial in one stack,
-    # and under the reference rule the canary-free references in another
-    dim = config.model.dim
+    # train: theta0 (on phi1) and theta1 (on phi2) of every trial in one
+    # stack, and under the reference rule the canary-free references in another
     base_labels = np.broadcast_to(dataset.labels, (T, dataset.size))
     paired = np.stack([_stack_states(np.concatenate([base_states, canaries]), dim)
-                       for t in range(T) for canaries in (seen_phi1[t], seen_phi2[t])])
+                       for t in range(T) for canaries in (seen_phi1[t], phi2[t, :K])])
     labels_aug = np.concatenate([base_labels, labels[:, :K]], axis=1).repeat(2, axis=0)
     models = _train_stack(paired, labels_aug, config.model, config.train,
                           [seed for seed in init_seeds for _ in range(2)])
-    if kappa is None:
+    references = []
+    if config.kappa_rule == "reference":
         base_T = _stack_states(base_states, dim)
         references = _train_stack(np.broadcast_to(base_T, (T, *base_T.shape)), base_labels,
-                                  config.model, config.train, list(init_seeds))
+                                  config.model, config.train, init_seeds)
 
-    # 3. each trial's evaluation, from its own stream in the order of a lone trial
+    # read: each trial's losses from its own stream in the order of a lone
+    # trial, recognized where they fall below the thresholds
     rows = []
-    for x_losses, y_losses, *ref in _evaluate_block(
-            config, models, references if kappa is None else [],
-            seen_phi2, unseen_phi2, labels, rngs):
-        if kappa is not None:
-            rows.append(((x_losses < kappa).astype(np.uint8),
-                         (y_losses < kappa).astype(np.uint8), None))
-            continue
-        x_ref, y_ref = ref
-        rows.append(((x_losses < x_ref).astype(np.uint8),
-                     (y_losses < y_ref).astype(np.uint8),
-                     np.concatenate([x_ref, y_ref])))
+    for x_losses, y_losses, *ref in _evaluate_block(config, models, references, phi2[:, :K],
+                                                    phi2[:, K:], labels, rngs):
+        thresholds = np.concatenate(ref) if ref else np.full(2 * K, kappa)
+        recognized = (np.concatenate([x_losses, y_losses]) < thresholds).astype(np.uint8)
+        rows.append((recognized[:K], recognized[K:], thresholds))
     return rows
 
 
@@ -572,9 +577,7 @@ def _calibration(dataset: Dataset, config: AuditConfig,
     tcfg = replace(config.train, seed=init_seed)
     reference = train(base_states, dataset.labels, config.model, tcfg)
 
-    feats, labels = generate_canaries(dataset, CALIBRATION_CANARIES, rng)
-    spec_off = OffsetSpec(d=config.d, delta_conf=config.delta_conf)
-    offsets = np.stack([sample_offsets(spec_off, dataset.feature_count, rng) for _ in feats])
+    feats, labels, offsets = _draw_canaries(dataset, config, CALIBRATION_CANARIES, rng)
     states = _encode_rows(feats, offsets)
 
     losses = evaluate_losses(eval_model(reference, config.noise), states, labels, rng)
@@ -637,8 +640,6 @@ def audit(config: AuditConfig, dataset: Dataset, workers: int = 1) -> AuditRepor
     # the finite-shot bound needs mu whatever the recognition rule
     if config.kappa_rule == "calibrated_median" or config.noise.kind == "measurement_shots":
         kappa, mu_est = _calibration(dataset, config, base_states)
-    if config.kappa_rule == "reference":
-        kappa = None
     t1 = time.perf_counter()
 
     blocks = [range(start, min(start + TRIAL_BLOCK, config.n))
@@ -655,8 +656,7 @@ def audit(config: AuditConfig, dataset: Dataset, workers: int = 1) -> AuditRepor
     rows = [row for block_rows in done for row in block_rows]
     x = np.stack([r[0] for r in rows])
     y = np.stack([r[1] for r in rows])
-    if kappa is None:
-        kappa = float(np.median(np.concatenate([r[2] for r in rows])))
+    kappa = float(np.median(np.concatenate([r[2] for r in rows])))
     t2 = time.perf_counter()
 
     theory = _theory_for(config, mu_est)

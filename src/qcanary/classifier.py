@@ -253,6 +253,16 @@ def _binary_labels(labels) -> np.ndarray:
     return labels
 
 
+def _batch_labels(states, labels) -> np.ndarray:
+    """labels as a flat float array, checked against a nonempty batch of states."""
+    labels = np.asarray(labels, dtype=float).ravel()
+    if len(states) == 0:
+        raise ValueError("no states in the batch")
+    if len(states) != labels.size:
+        raise ValueError("states and labels differ in length")
+    return labels
+
+
 def _sample_z(z_exact: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Finite-shot estimate of <Z> from measurement counts: the count of
     +1 outcomes is binomial with probability (1 + <Z>)/2."""
@@ -292,12 +302,9 @@ def _noisy_z(A: np.ndarray, noise: NoiseSpec, states,
 def _read_losses(A: np.ndarray, noise: NoiseSpec, states, labels,
                  rng: np.random.Generator | None) -> np.ndarray:
     """evaluate_losses for the model whose observable under noise is A, a
-    (1, dim, dim) slice of an _observables stack."""
-    labels = np.asarray(labels, dtype=float).ravel()
-    if len(states) == 0:
-        raise ValueError("no states to evaluate")
-    if len(states) != labels.size:
-        raise ValueError("states and labels differ in length")
+    (1, dim, dim) slice of an _observables stack. Binary labels are left to
+    the callers: evaluate_losses checks them, the audit generates its own."""
+    labels = _batch_labels(states, labels)
     return _bce(_probs_from_z(_noisy_z(A, noise, states, rng)), labels)
 
 
@@ -325,7 +332,7 @@ def evaluate_losses(model: TrainedModel, states, labels,
 
 def mean_loss(spec: ModelSpec, params: np.ndarray, states, labels) -> float:
     """Noiseless exact-expectation mean loss, the quantity training descends."""
-    labels = np.asarray(labels, dtype=float).ravel()
+    labels = _binary_labels(_batch_labels(states, labels))
     clean = NoiseSpec.none()
     z = _noisy_z(_observables(spec, np.asarray(params, dtype=float), clean), clean, states, None)
     return float(_bce(_probs_from_z(z), labels).mean())
@@ -338,7 +345,7 @@ def loss_gradient(spec: ModelSpec, params: np.ndarray, states, labels) -> np.nda
     whatever the parameter count (see _gd_step_values).
     """
     theta = np.asarray(params, dtype=float).reshape(1, -1)
-    labels = np.asarray(labels, dtype=float).reshape(1, -1)
+    labels = _binary_labels(_batch_labels(states, labels))[None]
     states_T = _stack_states(states, spec.dim)
     _, grad = _gd_step_values(_engine_for(spec), theta, states_T[None], labels,
                               NoiseSpec.none())
@@ -390,11 +397,7 @@ def train(states, labels, spec: ModelSpec, cfg: TrainConfig) -> TrainedModel:
     shots are ignored; per-qubit noise is not supported. Deterministic for
     a fixed seed, which draws the initialization.
     """
-    labels = np.asarray(labels, dtype=float).ravel()
-    if len(states) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    if len(states) != labels.size:
-        raise ValueError("states and labels differ in length")
+    labels = _batch_labels(states, labels)
     states_T = _stack_states(states, spec.dim)
     return _train_stack(states_T[None], labels[None], spec, cfg, [cfg.seed])[0]
 

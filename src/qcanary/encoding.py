@@ -117,8 +117,8 @@ def angle_encode_offset(c, alpha) -> PureState:
     return PureState(_encode_rows(cv[None], av[None])[0])
 
 
-def sample_offsets(spec: OffsetSpec, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m i.i.d. N(0, sigma^2) draws, clipped to [-gamma, gamma]."""
+def sample_offsets(spec: OffsetSpec, m: int | tuple, rng: np.random.Generator) -> np.ndarray:
+    """m i.i.d. N(0, sigma^2) draws, clipped to [-gamma, gamma]; m may be a shape."""
     return np.clip(rng.normal(0.0, spec.sigma, size=m), -spec.gamma, spec.gamma)
 
 

@@ -24,6 +24,15 @@ PINNED_PAPER_AUDIT = {
     "p0_upper": 1.0,
 }
 
+# small_config(n=6, noise=NoiseSpec.measurement(400)), the reference rule
+# with the betting bound at d = 0.1. Under shots every loss read draws from
+# the trial's stream, so the draw, train and read order all reach these bits
+PINNED_DEFAULT_AUDIT = {
+    "kappa": 0.7383831321419831,
+    "x": [[1, 1, 1], [1, 0, 0], [0, 1, 1], [1, 1, 1], [1, 1, 1], [0, 1, 0]],
+    "y": [[1, 0, 0], [1, 1, 0], [0, 0, 1], [0, 0, 0], [1, 1, 0], [1, 1, 1]],
+}
+
 
 def small_config(**kw) -> AuditConfig:
     base = dict(
@@ -63,6 +72,12 @@ def test_bound_requires_two_trials():
 def test_bound_rejects_bad_inputs():
     with pytest.raises(ValueError):
         qc.bound_lower(np.full((4, 2), 1.5), 0.05)
+    # NaN compares False both ways, so a min/max range check lets it through
+    with_nan = np.ones((64, 16))
+    with_nan[3, 5] = np.nan
+    for bound in (qc.bound_lower, qc.bound_upper):
+        with pytest.raises(ValueError, match="entries"):
+            bound(with_nan, 0.05)
     with pytest.raises(ValueError):
         qc.bound_lower(np.ones((4, 2)), 1.5)
 
@@ -91,6 +106,13 @@ def test_betting_bound_rejects_bad_inputs():
             qc.betting_upper(np.ones((4, 2)), eta)
     with pytest.raises(ValueError):
         qc.betting_lower(np.full((4, 2), 1.5), 0.05)
+    with_nan = np.zeros((64, 16))
+    with_nan[3, 5] = np.nan
+    for bound in (qc.betting_lower, qc.betting_upper):
+        with pytest.raises(ValueError, match="entries"):
+            bound(with_nan, 0.05)
+    with pytest.raises(ValueError, match="entries"):
+        qc.estimate_epsilon(with_nan, np.zeros((64, 16)), 0.05)
 
 
 def test_betting_bound_degenerate_beats_bernstein():
@@ -139,6 +161,17 @@ def test_estimate_epsilon_rejects_beta_outside_unit_interval():
         qc.simulate_known_mechanism(0.0, 8, 2, 1.5, np.random.default_rng(0))
 
 
+def test_estimate_epsilon_rejects_delta_outside_unit_interval():
+    # a negative delta would add to the gap and report leakage between a
+    # matrix and itself
+    y = (np.random.default_rng(4).random((64, 16)) < 0.3).astype(np.uint8)
+    for estimator in ("betting", "bernstein"):
+        assert qc.estimate_epsilon(y, y, 0.05, estimator=estimator).epsilon_hat == 0.0
+        for delta in (-0.5, 1.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match="delta"):
+                qc.estimate_epsilon(y, y, 0.05, delta=delta, estimator=estimator)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 0.5))
 def test_epsilon_hat_nonnegative_and_monotone(p1, p0, delta):
@@ -155,6 +188,9 @@ def test_epsilon_hat_values():
     assert math.isfinite(qc.epsilon_hat(0.9, 0.0))
     with pytest.raises(ValueError):
         qc.epsilon_hat(1.2, 0.3)
+    for delta in (-0.5, 1.0, math.nan):
+        with pytest.raises(ValueError, match="delta"):
+            qc.epsilon_hat(0.3, 0.3, delta)
 
 
 # closed-form bounds ---------------------------------------------------------
@@ -230,21 +266,13 @@ def test_generate_canaries_constant_feature(rng):
 
 def test_run_trial_shapes_and_determinism(dataset):
     cfg = small_config()
-    x1, y1 = qc.run_trial(0, cfg, dataset, kappa=0.7)
-    x2, y2 = qc.run_trial(0, cfg, dataset, kappa=0.7)
+    x1, y1 = qc.run_trial(0, cfg, dataset)
+    x2, y2 = qc.run_trial(0, cfg, dataset)
     assert x1.shape == (3,) and y1.shape == (3,)
     assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
-    x3, _ = qc.run_trial(1, cfg, dataset, kappa=0.7)
+    x3, _ = qc.run_trial(1, cfg, dataset)
     # different trial index redraws canaries and init
     assert x3.shape == (3,)
-
-
-def test_run_trial_threshold_extremes(dataset):
-    cfg = small_config()
-    x_hi, y_hi = qc.run_trial(0, cfg, dataset, kappa=math.inf)
-    assert x_hi.all() and y_hi.all()
-    x_lo, y_lo = qc.run_trial(0, cfg, dataset, kappa=0.0)
-    assert not x_lo.any() and not y_lo.any()
 
 
 def test_reference_rule_tie_is_not_recognized(dataset):
@@ -267,6 +295,15 @@ def test_paper_rule_and_bound_reproduce_pinned_audit(dataset):
     assert report.estimate.p1_lower == PINNED_PAPER_AUDIT["p1_lower"]
     assert report.estimate.p0_upper == PINNED_PAPER_AUDIT["p0_upper"]
     assert report.estimate.gap_lower is None
+
+
+def test_default_rule_and_bound_reproduce_pinned_audit(dataset):
+    cfg = small_config(n=6, noise=NoiseSpec.measurement(400))
+    assert (cfg.kappa_rule, cfg.estimator, cfg.d) == ("reference", "betting", 0.1)
+    report = qc.audit(cfg, dataset)
+    assert report.kappa == PINNED_DEFAULT_AUDIT["kappa"]
+    assert report.trials.x.tolist() == PINNED_DEFAULT_AUDIT["x"]
+    assert report.trials.y.tolist() == PINNED_DEFAULT_AUDIT["y"]
 
 
 def test_calibrate_kappa_median(dataset):

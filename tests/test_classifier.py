@@ -36,6 +36,15 @@ def test_loss_values():
     for bad in (2, -1, 0.5):
         with pytest.raises(ValueError, match="0 or 1"):
             qc.evaluate_losses(model, [st, st], [1, bad])
+    # the training loss and its gradient take the same checks
+    spec, params = model.spec, model.params
+    for fn in (mean_loss, loss_gradient):
+        with pytest.raises(ValueError, match="0 or 1"):
+            fn(spec, params, [st], [2])
+        with pytest.raises(ValueError, match="length"):
+            fn(spec, params, [st, st], [1])
+        with pytest.raises(ValueError, match="no states"):
+            fn(spec, params, [], [])
 
 
 def test_loss_clamp_keeps_values_finite():

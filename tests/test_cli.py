@@ -32,6 +32,11 @@ def write_config(tmp_path, extra=None, name="cfg.json"):
     return str(path)
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def test_defaults_cover_every_key():
     doc = load_config(None)
     assert set(doc) == set(CONFIG_SCHEMA)
@@ -109,7 +114,7 @@ def test_audit_command_end_to_end(tmp_path):
     cfg = write_config(tmp_path)
     out = str(tmp_path / "report.json")
     assert main(["audit", "--config", cfg, "--out", out]) == 0
-    rep = json.load(open(out))
+    rep = read_json(out)
     assert set(rep) == {"config", "seeds", "epsilon_hat", "p1_lower",
                         "p0_upper", "theory", "trial_means", "timings"}
     assert rep["config"]["audit.n"] == 3
@@ -122,7 +127,7 @@ def test_audit_reports_identical_modulo_timings(tmp_path):
     out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     assert main(["audit", "--config", cfg, "--out", out1]) == 0
     assert main(["audit", "--config", cfg, "--out", out2]) == 0
-    r1, r2 = json.load(open(out1)), json.load(open(out2))
+    r1, r2 = read_json(out1), read_json(out2)
     r1.pop("timings")
     r2.pop("timings")
     assert r1 == r2
@@ -132,7 +137,7 @@ def test_seed_flag_overrides_document(tmp_path):
     cfg = write_config(tmp_path)
     out = str(tmp_path / "r.json")
     assert main(["audit", "--config", cfg, "--seed", "99", "--out", out]) == 0
-    rep = json.load(open(out))
+    rep = read_json(out)
     assert rep["seeds"]["master"] == 99
     assert rep["config"]["audit.seed"] == 99
 
@@ -141,13 +146,13 @@ def test_reembedded_config_reproduces_report(tmp_path):
     cfg = write_config(tmp_path)
     out1 = str(tmp_path / "r1.json")
     assert main(["audit", "--config", cfg, "--out", out1]) == 0
-    rep1 = json.load(open(out1))
+    rep1 = read_json(out1)
     # the embedded config is itself a valid document
     embedded = tmp_path / "embedded.json"
     embedded.write_text(json.dumps(rep1["config"]))
     out2 = str(tmp_path / "r2.json")
     assert main(["audit", "--config", str(embedded), "--out", out2]) == 0
-    rep2 = json.load(open(out2))
+    rep2 = read_json(out2)
     rep1.pop("timings")
     rep2.pop("timings")
     rep1["config"].pop("run.out")
@@ -160,7 +165,8 @@ def test_series_export(tmp_path):
     out = str(tmp_path / "r.json")
     series = str(tmp_path / "series.csv")
     assert main(["audit", "--config", cfg, "--out", out, "--series", series]) == 0
-    lines = open(series).read().strip().splitlines()
+    with open(series) as fh:
+        lines = fh.read().strip().splitlines()
     assert lines[0] == "trial,mean_seen,mean_unseen"
     assert len(lines) == 4
 
@@ -206,7 +212,7 @@ def test_shot_noise_audit_trains_under_noise(tmp_path):
                                   "audit.n": 4, "audit.K": 2})
     out = str(tmp_path / "report.json")
     assert main(["audit", "--config", cfg, "--out", out]) == 0
-    rep = json.load(open(out))
+    rep = read_json(out)
     assert rep["theory"]["kind"] == "measurement_shots"
     assert rep["theory"]["params"]["mu"] >= 1e-3
 
@@ -280,7 +286,7 @@ def test_coverage_command(tmp_path):
     out = str(tmp_path / "cov.json")
     assert main(["coverage", "--replications", "30", "--n", "64",
                  "--trial-k", "4", "--epsilon-true", "0.0", "--out", out]) == 0
-    cov = json.load(open(out))
+    cov = read_json(out)
     assert cov["replications"] == 30
     assert len(cov["seeds"]["per_replication"]) == 30
     assert cov["violation_rate"] <= 0.2
