@@ -1,6 +1,6 @@
 """Audit the bundled iris classifier at two noise levels.
 
-Runs the full paired-model canary audit twice: once with heavy
+Runs the full canary membership audit twice: once with heavy
 depolarizing noise at inference (the channel scrubs almost everything
 the model knows) and once with light noise. Prints the measured lower
 bound next to the closed-form ceiling for each run so the two can be

@@ -1,10 +1,10 @@
 """Black-box privacy auditing for small variational quantum classifiers.
 
-The package plants near-indistinguishable canary records into training
-data through offset angle encodings, trains paired models, and converts
-seen/unseen recognition rates into an empirical lower bound on the
-privacy budget, next to closed-form upper bounds for depolarizing and
-finite-shot noise.
+The package trains one model per trial on data with planted synthetic
+canary records, reads it on those canaries and on as many fresh ones,
+and converts seen/unseen recognition rates into an empirical lower
+bound on the privacy budget, next to closed-form upper bounds for
+depolarizing and finite-shot noise.
 """
 
 from .audit import (AuditConfig, AuditReport, DomainError, EpsilonEstimate,

@@ -1,21 +1,21 @@
-"""The privacy audit: paired-model canary trials and confidence bounds.
+"""The privacy audit: canary membership trials and confidence bounds.
 
-One trial plants K synthetic canary records into the training set twice,
-once plainly encoded and once with small random offsets on the encoding
-angles, and trains a model on each variant. If training memorizes, the
-offset-trained model recognizes its own canaries (low loss) while the
-other model, which never saw the offset encodings, does not recognize a
-fresh unseen set. By default a canary counts as recognized when the
-audited model's loss on it is below that of a canary-free reference
-trained from the same initialization, which cancels how easy each canary
-happens to be (Carlini et al., LiRA, arXiv:2112.03570); the paper's rule
-uses one calibrated global threshold instead. kappa reports the median of
-the per-canary thresholds, under the paper's rule the global threshold
-itself. Indicator matrices over n independent trials feed confidence
-bounds whose gap yields an empirical lower bound epsilon_hat on the
-privacy budget, with failure probability at most beta: by default a
-betting bound on the mean per-trial seen-minus-unseen difference
-(Waudby-Smith & Ramdas, arXiv:2010.09686), or the paper's
+One trial draws 2K i.i.d. synthetic canary records with small random
+offsets on their encoding angles, trains one model on the dataset plus
+the first K, and reads it on all 2K. A model that memorizes recognizes
+the K it saw (low loss) more often than the K it did not; seen and unseen
+canaries are exchangeable, so that gap bounds a replace-one guarantee
+(Steinke, Nasr & Jagielski, arXiv:2305.08846). By default a canary counts
+as recognized when the model's loss on it is below that of a canary-free
+reference trained from the same initialization, which cancels how easy
+each canary happens to be (Carlini et al., LiRA, arXiv:2112.03570); the
+paper's rule uses one calibrated global threshold instead. kappa reports
+the median of the per-canary thresholds, under the paper's rule the
+global threshold itself. Indicator matrices over n independent trials
+feed confidence bounds whose gap yields an empirical lower bound
+epsilon_hat on the privacy budget, with failure probability at most beta:
+by default a betting bound on the mean per-trial seen-minus-unseen
+difference (Waudby-Smith & Ramdas, arXiv:2010.09686), or the paper's
 empirical-Bernstein bounds. Closed-form upper bounds for the depolarizing
 and finite-shot mechanisms are computed alongside so the two directions
 can be compared.
@@ -377,9 +377,9 @@ def theory_epsilon_measurement(N: int, d: float, r: int, mu: float,
 
     which requires mu (1 - mu - A) > 0.
     """
-    if N < 1:
+    if not N >= 1:
         raise ValueError(f"shot count {N} must be at least 1")
-    if d < 0.0 or r < 0:
+    if not (d >= 0.0 and r >= 0):  # NaN fails too
         raise ValueError("need d >= 0 and r >= 0")
     if not 0.0 < target_delta < 1.0:
         raise ValueError(f"target_delta {target_delta} not in (0, 1)")
@@ -451,7 +451,7 @@ def _kappa_seed_seq(config: AuditConfig) -> np.random.SeedSequence:
 
 
 def run_trial(trial_index: int, config: AuditConfig, dataset: Dataset):
-    """One paired-model trial; returns the seen and unseen indicator rows.
+    """One canary trial; returns the seen and unseen indicator rows.
 
     config.kappa_rule decides each canary's threshold: 'reference' uses its
     loss under the trial's reference model, 'calibrated_median' the global
@@ -476,10 +476,9 @@ def _draw_canaries(dataset: Dataset, config: AuditConfig, count: int,
     fails, since epsilon_hat is meaningless without it.
     """
     feats, labels = generate_canaries(dataset, count, rng)
-    spec_off = OffsetSpec(d=config.d, delta_conf=config.delta_conf)
-    offsets = sample_offsets(spec_off, feats.shape, rng)
+    offsets = sample_offsets(OffsetSpec(config.d, config.delta_conf), feats.shape, rng)
     worst = np.abs(np.sin(offsets / 2.0)).max()
-    if worst > config.d + 1e-12:
+    if not worst <= config.d + 1e-12:  # NaN fails too
         raise ValueError(f"canary adjacency violated: {worst} > d = {config.d}")
     return feats, labels, offsets
 
@@ -492,10 +491,10 @@ def _run_block(indices: range, config: AuditConfig, dataset: Dataset,
     dataset's amplitude rows, encoded once per audit."""
     K, m, dim = config.K, dataset.feature_count, config.model.dim
 
-    # draw: each trial's canaries, offsets (the first K train, the last K
-    # evaluate) and initialization, from its own stream in the order of a
-    # lone trial. The initialization depends on the trial seed alone, never
-    # on which canaries are seen, and all models of the trial share it
+    # draw: each trial's canaries and offsets (the first K are seen, the
+    # last K unseen) and initialization, from its own stream in the order
+    # of a lone trial. The initialization depends on the trial seed alone,
+    # never on which canaries are seen, and the trial's reference shares it
     rngs, draws, init_seeds = [], [], []
     for index in indices:
         rng = np.random.default_rng(_trial_seed_seq(config, index))
@@ -504,60 +503,43 @@ def _run_block(indices: range, config: AuditConfig, dataset: Dataset,
         rngs.append(rng)
     T = len(rngs)
     feats, labels, offsets = (np.stack(d) for d in zip(*draws))
-    seen_phi1 = _encode_rows(feats[:, :K].reshape(T * K, m)).reshape(T, K, -1)
     phi2 = _encode_rows(feats.reshape(-1, m), offsets.reshape(-1, m)).reshape(T, 2 * K, -1)
 
-    # train: theta0 (on phi1) and theta1 (on phi2) of every trial in one
-    # stack, and under the reference rule the canary-free references in another
+    # train: each trial's audited model on the base data and its K seen
+    # canaries in one stack, and under the reference rule the references in
+    # another. A reference sees the base data only, so its losses are a
+    # canary-independent post-processing of the trial's initialization
     base_labels = np.broadcast_to(dataset.labels, (T, dataset.size))
-    paired = np.stack([_stack_states(np.concatenate([base_states, canaries]), dim)
-                       for t in range(T) for canaries in (seen_phi1[t], phi2[t, :K])])
-    labels_aug = np.concatenate([base_labels, labels[:, :K]], axis=1).repeat(2, axis=0)
-    models = _train_stack(paired, labels_aug, config.model, config.train,
-                          [seed for seed in init_seeds for _ in range(2)])
-    references = []
+    seen = np.stack([_stack_states(np.concatenate([base_states, phi2[t, :K]]), dim)
+                     for t in range(T)])
+    models = _train_stack(seen, np.concatenate([base_labels, labels[:, :K]], axis=1),
+                          config.model, config.train, init_seeds)
     if config.kappa_rule == "reference":
-        base_T = _stack_states(base_states, dim)
-        references = _train_stack(np.broadcast_to(base_T, (T, *base_T.shape)), base_labels,
-                                  config.model, config.train, init_seeds)
+        base = np.broadcast_to(_stack_states(base_states, dim), (T, dim, dataset.size))
+        models += _train_stack(base, base_labels, config.model, config.train, init_seeds)
 
     # read: each trial's losses from its own stream in the order of a lone
     # trial, recognized where they fall below the thresholds
     rows = []
-    for x_losses, y_losses, *ref in _evaluate_block(config, models, references, phi2[:, :K],
-                                                    phi2[:, K:], labels, rngs):
-        thresholds = np.concatenate(ref) if ref else np.full(2 * K, kappa)
-        recognized = (np.concatenate([x_losses, y_losses]) < thresholds).astype(np.uint8)
+    for losses, *ref in _evaluate_block(config, models, phi2, labels, rngs):
+        thresholds = ref[0] if ref else np.full(2 * K, kappa)
+        recognized = (losses < thresholds).astype(np.uint8)
         rows.append((recognized[:K], recognized[K:], thresholds))
     return rows
 
 
-def _evaluate_block(config: AuditConfig, paired: list, references: list,
-                    seen: np.ndarray, unseen: np.ndarray, labels: np.ndarray, rngs) -> list:
-    """Each trial's losses under config.noise: x and y, then x_ref and y_ref
-    when there are references.
-
-    paired holds a block's theta0 and theta1 of each trial in turn and
-    references one model per trial or none; seen and unseen are the
-    (T, K, dim) offset encodings and labels (T, 2K), seen first. All
-    observables come from one walk back, and each trial reads its slices
-    in the order x, y, x_ref, y_ref with its own rng, so every loss and
-    every shot draw equals evaluate_losses on that model alone.
-    """
-    T, K, noise = len(rngs), seen.shape[1], config.noise
-    A = _observables(config.model, np.stack([m.params for m in paired + references]), noise)
-    out = []
-    for t, rng in enumerate(rngs):
-        # theta1 is scored on the very states it trained on, theta0 on fresh
-        # offset-encoded canaries
-        reads = [(2 * t + 1, seen[t], labels[t, :K]), (2 * t, unseen[t], labels[t, K:])]
-        if references:
-            # the reference sees the base data only, so its losses are a
-            # canary-independent post-processing of the trial's initialization
-            reads += [(2 * T + t, seen[t], labels[t, :K]), (2 * T + t, unseen[t], labels[t, K:])]
-        out.append([_read_losses(A[i:i + 1], noise, states, lab, rng)
-                    for i, states, lab in reads])
-    return out
+def _evaluate_block(config: AuditConfig, models: list, states: np.ndarray,
+                    labels: np.ndarray, rngs) -> list:
+    """Each trial t's losses on its states[t] under config.noise: model t's,
+    then model T + t's when models holds references after the T audited
+    models. All observables come from one walk back, and each trial reads
+    with its own rng, so every loss and every shot draw equals
+    evaluate_losses on that model alone."""
+    T, noise = len(rngs), config.noise
+    A = _observables(config.model, np.stack([m.params for m in models]), noise)
+    return [[_read_losses(A[i:i + 1], noise, states[t], labels[t], rng)
+             for i in range(t, len(models), T)]
+            for t, rng in enumerate(rngs)]
 
 
 def _calibration(dataset: Dataset, config: AuditConfig,
@@ -653,10 +635,9 @@ def audit(config: AuditConfig, dataset: Dataset, workers: int = 1) -> AuditRepor
             done = list(pool.map(run_block, blocks))
     else:
         done = [run_block(block) for block in blocks]
-    rows = [row for block_rows in done for row in block_rows]
-    x = np.stack([r[0] for r in rows])
-    y = np.stack([r[1] for r in rows])
-    kappa = float(np.median(np.concatenate([r[2] for r in rows])))
+    rows = (row for block_rows in done for row in block_rows)
+    x, y, thresholds = (np.stack(m) for m in zip(*rows))
+    kappa = float(np.median(thresholds))
     t2 = time.perf_counter()
 
     theory = _theory_for(config, mu_est)

@@ -438,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "quantum classifiers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_audit = sub.add_parser("audit", help="run the paired-model canary audit")
+    p_audit = sub.add_parser("audit", help="run the canary membership audit")
     p_audit.add_argument("--config", help="flat-key JSON config document")
     p_audit.add_argument("--seed", type=int, help="override audit.seed")
     p_audit.add_argument("--workers", type=int, help="trial process count")

@@ -63,16 +63,13 @@ class OffsetSpec:
     gamma: float | None = None
 
     def __post_init__(self):
-        s_max = sigma_bound(self.d, self.delta_conf)
-        g_max = gamma_bound(self.d)
-        if self.sigma is None:
-            object.__setattr__(self, "sigma", s_max)
-        elif self.sigma > s_max + 1e-12 or self.sigma < 0.0:
-            raise ValueError(f"sigma {self.sigma} violates the bound {s_max}")
-        if self.gamma is None:
-            object.__setattr__(self, "gamma", g_max)
-        elif self.gamma > g_max + 1e-12 or self.gamma < 0.0:
-            raise ValueError(f"gamma {self.gamma} violates the bound {g_max}")
+        for name, bound in (("sigma", sigma_bound(self.d, self.delta_conf)),
+                            ("gamma", gamma_bound(self.d))):
+            value = getattr(self, name)
+            if value is None:
+                object.__setattr__(self, name, bound)
+            elif not 0.0 <= value <= bound + 1e-12:  # NaN fails too
+                raise ValueError(f"{name} {value} violates the bound {bound}")
 
 
 def _encode_rows(features: np.ndarray, offsets=None) -> np.ndarray:
@@ -133,6 +130,8 @@ def pair_distances(c, alpha):
     av = np.asarray(alpha, dtype=float).ravel()
     if cv.shape != av.shape:
         raise ValueError(f"feature/offset length mismatch: {cv.shape} vs {av.shape}")
+    if not np.isfinite(av).all():
+        raise ValueError("offsets must be finite")
     per_qubit = np.abs(np.sin(av / 2.0))
     overlap_sq = float(np.prod(np.cos(av / 2.0) ** 2))
     full = math.sqrt(max(0.0, 1.0 - overlap_sq))

@@ -25,12 +25,13 @@ PINNED_PAPER_AUDIT = {
 }
 
 # small_config(n=6, noise=NoiseSpec.measurement(400)), the reference rule
-# with the betting bound at d = 0.1. Under shots every loss read draws from
-# the trial's stream, so the draw, train and read order all reach these bits
+# with the betting bound at d = 0.1, one audited model per trial reading
+# both halves. Under shots every loss read draws from the trial's stream,
+# so the draw, train and read order all reach these bits
 PINNED_DEFAULT_AUDIT = {
     "kappa": 0.7383831321419831,
     "x": [[1, 1, 1], [1, 0, 0], [0, 1, 1], [1, 1, 1], [1, 1, 1], [0, 1, 0]],
-    "y": [[1, 0, 0], [1, 1, 0], [0, 0, 1], [0, 0, 0], [1, 1, 0], [1, 1, 1]],
+    "y": [[1, 0, 0], [1, 1, 0], [1, 0, 1], [0, 0, 0], [1, 1, 0], [1, 1, 1]],
 }
 
 
@@ -218,6 +219,10 @@ def test_measurement_bound_known_point():
 def test_measurement_bound_zero_distance_is_free():
     eps, _ = qc.theory_epsilon_measurement(1000, 0.0, 1, 0.3, 0.01)
     assert eps == 0.0
+    # NaN compares False both ways, so it must fail the range checks too
+    for N, d in ((400, math.nan), (math.nan, 1e-4)):
+        with pytest.raises(ValueError):
+            qc.theory_epsilon_measurement(N, d, 1, 0.1, 0.01)
 
 
 def test_measurement_bound_domain_error_names_condition():
@@ -428,32 +433,44 @@ def test_per_qubit_audit_does_not_depend_on_block_size(dataset, monkeypatch):
 def test_block_evaluation_matches_model_by_model(noise):
     # the block's stacked observables against evaluate_losses on one model
     # at a time, each trial from its own identically seeded stream, with
-    # and without the references after the paired models
+    # and without the references after the audited models
     cfg = small_config(noise=noise)
     spec, T, K = cfg.model, 3, cfg.K
     draw = np.random.default_rng(3)
     models = [qc.TrainedModel(spec=spec, params=draw.uniform(-1, 1, spec.param_count),
-                              train_log=()) for _ in range(3 * T)]
-    seen, unseen = (_encode_rows(draw.uniform(0, 1, (T * K, 3))).reshape(T, K, -1)
-                    for _ in range(2))
+                              train_log=()) for _ in range(2 * T)]
+    states = _encode_rows(draw.uniform(0, 1, (T * 2 * K, 3))).reshape(T, 2 * K, -1)
     labels = draw.integers(0, 2, size=(T, 2 * K))
-    paired, references = models[:2 * T], models[2 * T:]
+    audited, references = models[:T], models[T:]
     for refs in (references, []):
         rngs = [np.random.default_rng(100 + t) for t in range(T)]
-        got = _evaluate_block(cfg, paired, refs, seen, unseen, labels, rngs)
+        got = _evaluate_block(cfg, audited + refs, states, labels, rngs)
         assert len(got) == T
         for t in range(T):
+            # model t reads trial t's 2K canaries, then its reference does
             rng = np.random.default_rng(100 + t)
-            reads = [(paired[2 * t + 1], seen[t], labels[t, :K]),
-                     (paired[2 * t], unseen[t], labels[t, K:])]
-            if refs:
-                reads += [(refs[t], seen[t], labels[t, :K]),
-                          (refs[t], unseen[t], labels[t, K:])]
-            want = [qc.evaluate_losses(qc.eval_model(model, noise), states, lab, rng)
-                    for model, states, lab in reads]
+            want = [qc.evaluate_losses(qc.eval_model(model, noise), states[t], labels[t], rng)
+                    for model in [audited[t]] + refs[t:t + 1]]
             assert len(got[t]) == len(want)
             for g, w in zip(got[t], want):
                 assert np.array_equal(g, w), (len(refs), t)
+
+
+@pytest.mark.parametrize("rule, per_trial", [("reference", 2), ("calibrated_median", 1)])
+def test_trials_train_one_audited_model_each(dataset, monkeypatch, rule, per_trial):
+    # the audited model reads its unseen canaries too, so a trial trains
+    # only it and, under the reference rule, its canary-free reference
+    audit_module = importlib.import_module("qcanary.audit")
+    train_stack, trained = audit_module._train_stack, []
+
+    def counting(states, labels, spec, cfg, seeds):
+        trained.append(len(seeds))
+        return train_stack(states, labels, spec, cfg, seeds)
+
+    monkeypatch.setattr(audit_module, "_train_stack", counting)
+    cfg = small_config(n=8, kappa_rule=rule)
+    qc.audit(cfg, dataset)
+    assert sum(trained) == per_trial * cfg.n
 
 
 def test_pool_starts_no_more_workers_than_blocks(dataset, monkeypatch):

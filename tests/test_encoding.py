@@ -49,6 +49,10 @@ def test_offset_spec_rejects_looser_widths():
         OffsetSpec(d=0.1, sigma=0.2)
     with pytest.raises(ValueError):
         OffsetSpec(d=0.1, gamma=0.5)
+    # NaN compares False both ways, so it must fail the bound checks too
+    for width in ("sigma", "gamma"):
+        with pytest.raises(ValueError):
+            OffsetSpec(d=0.1, **{width: math.nan})
     # tighter than the bound is fine
     OffsetSpec(d=0.1, sigma=0.01, gamma=0.1)
 
@@ -137,6 +141,10 @@ def test_pair_distances_closed_form():
     assert np.allclose(per_qubit, [0.5, 0.5], atol=1e-14)
     # sqrt(1 - cos^4(pi/6)) = sqrt(7)/4
     assert full == pytest.approx(0.6614378277661476, abs=1e-14)
+    # a NaN offset is no distance at all, not distance 0
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            qc.pair_distances([0.1, 0.2], [bad, 0.1])
 
 
 def test_full_distance_matches_state_overlap(rng):
