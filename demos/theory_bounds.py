@@ -2,8 +2,8 @@
 
 No training happens here. The depolarizing table shows how fast the
 guarantee tightens as the channel probability grows, and the
-measurement table shows the shot-noise bound along with the bisection
-constant it solves for. The last block demonstrates the domain check:
+measurement table shows the shot-noise bound along with its closed-form
+slack constant c. The last block demonstrates the domain check:
 once N * d * r crowds out mu the mechanism offers no finite guarantee
 and the function says so instead of returning a number.
 """

@@ -16,19 +16,16 @@ from .audit import (AuditConfig, AuditReport, DomainError, EpsilonEstimate,
                     theory_epsilon_measurement, trials_to_target)
 from .circuits import (Gate, Observable, ParamCircuit, apply_circuit_density,
                        apply_circuit_pure, build_real_amplitudes,
-                       expectation, gate_unitary, parameter_shift_gradient,
-                       z_on_qubit)
+                       expectation, parameter_shift_gradient, z_on_qubit)
 from .classifier import (ModelSpec, TrainConfig, TrainedModel, eval_model,
-                         evaluate_losses, loss_gradient, mean_loss,
-                         predict, train)
+                         evaluate_losses, loss_gradient, mean_loss, train)
 from .data import Dataset, load_csv, load_iris_binary, synth_gaussians
 from .encoding import (OffsetSpec, angle_encode, angle_encode_offset,
                        gamma_bound, pair_distances, sample_offsets,
                        sigma_bound)
-from .noise import NoiseSpec, depolarize_global, depolarize_qubit
-from .states import (DensityMatrix, PureState, density, hermitian_eigenvalues,
-                     pure, pure_to_density, pure_trace_distance,
-                     trace_distance)
+from .noise import NoiseSpec, depolarize_global
+from .states import (DensityMatrix, PureState, density, pure, pure_to_density,
+                     pure_trace_distance, trace_distance)
 
 __version__ = "0.1.0"
 
@@ -41,13 +38,13 @@ __all__ = [
     "audit", "betting_lower", "betting_upper",
     "bound_lower", "bound_upper",
     "build_real_amplitudes", "calibrate_kappa", "density",
-    "depolarize_global", "depolarize_qubit", "epsilon_hat",
+    "depolarize_global", "epsilon_hat",
     "estimate_epsilon", "eval_model",
     "evaluate_losses", "expectation", "gamma_bound",
-    "gate_unitary", "generate_canaries", "hermitian_eigenvalues",
+    "generate_canaries",
     "load_csv", "load_iris_binary", "loss_gradient",
     "mean_loss", "pair_distances",
-    "parameter_shift_gradient", "predict", "pure", "pure_to_density",
+    "parameter_shift_gradient", "pure", "pure_to_density",
     "pure_trace_distance", "run_trial",
     "sample_complexity_estimate", "sample_offsets",
     "sigma_bound", "simulate_known_mechanism", "synth_gaussians",

@@ -37,6 +37,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+from statistics import NormalDist
 
 import numpy as np
 
@@ -355,22 +356,20 @@ def theory_epsilon_depolarizing(p: float, d: float, D: int) -> float:
     return math.log(1.0 + (1.0 - p) * d * D / p)
 
 
-def _shot_delta(c: float, sigma_stat: float) -> float:
-    return math.sqrt(2.0 * math.pi) * sigma_stat * math.erfc(c / (math.sqrt(2.0) * sigma_stat))
-
-
 def theory_epsilon_measurement(N: int, d: float, r: int, mu: float,
                                target_delta: float):
     """(epsilon, c) for the finite-shot measurement mechanism.
 
     N is the shot count, d the state distance, r the largest projector
-    rank, mu the smallest outcome probability. c is solved from
+    rank, mu the smallest outcome probability. c solves
 
         target_delta = sqrt(2 pi) sigma erfc(c / (sqrt(2) sigma)),
-        sigma = sqrt(mu (1 - mu) / N)
+        sigma = sqrt(mu (1 - mu) / N),
 
-    by bisection on [0, 20 sigma]; a target_delta at or above the c = 0
-    value is already satisfied there, so c = 0 is returned. epsilon is
+    in closed form: erfc(x) = 2 Phi(-x sqrt(2)), so c = -sigma
+    Phi^-1(target_delta / (2 sqrt(2 pi) sigma)) while that argument is
+    below 1/2. A target_delta at or above the c = 0 value is already
+    satisfied there, so c = 0 is returned. epsilon is
 
         A / (mu (1 - mu)) * [ (1 - 2 mu - A) c^2 / (2 mu (1 - mu - A))
                               + c + A / 2 ]        with A = N d r,
@@ -389,20 +388,8 @@ def theory_epsilon_measurement(N: int, d: float, r: int, mu: float,
             f"mu (1 - mu - N d r) must be positive: mu = {mu}, N d r = {A}")
 
     sigma_stat = math.sqrt(mu * (1.0 - mu) / N)
-    lo, hi = 0.0, 20.0 * sigma_stat
-    if _shot_delta(lo, sigma_stat) <= target_delta:
-        c = 0.0
-    else:
-        if _shot_delta(hi, sigma_stat) > target_delta:
-            raise DomainError(
-                f"target_delta {target_delta} unreachable below c = 20 sigma")
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if _shot_delta(mid, sigma_stat) > target_delta:
-                lo = mid
-            else:
-                hi = mid
-        c = 0.5 * (lo + hi)
+    tail = target_delta / (2.0 * math.sqrt(2.0 * math.pi) * sigma_stat)
+    c = -sigma_stat * NormalDist().inv_cdf(tail) if tail < 0.5 else 0.0
 
     bracket = (1.0 - 2.0 * mu - A) * c * c / (2.0 * mu * (1.0 - mu - A)) + c + A / 2.0
     eps = A / (mu * (1.0 - mu)) * bracket
@@ -661,6 +648,20 @@ def audit(config: AuditConfig, dataset: Dataset, workers: int = 1) -> AuditRepor
 # ---------------------------------------------------------------------------
 # synthetic harness
 
+def _check_harness(epsilon_true: float, n: int, K: int, beta: float, p0: float) -> None:
+    """The synthetic harness's inputs, each check written so that NaN fails it."""
+    if not epsilon_true >= 0.0:
+        raise ValueError(f"epsilon_true {epsilon_true} must be nonnegative")
+    if not n >= 2:
+        raise ValueError(f"need n >= 2 trials (the confidence bounds), got {n}")
+    if not K >= 1:
+        raise ValueError(f"need K >= 1 canaries per trial, got {K}")
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"failure probability {beta} not in (0, 1)")
+    if not 0.0 < p0 < 1.0:
+        raise ValueError(f"base rate {p0} not in (0, 1)")
+
+
 def simulate_known_mechanism(epsilon_true: float, n: int, K: int, beta: float,
                              rng: np.random.Generator,
                              p0: float = 0.3) -> EpsilonEstimate:
@@ -671,12 +672,7 @@ def simulate_known_mechanism(epsilon_true: float, n: int, K: int, beta: float,
     often the pipeline overshoots a known ground truth, with the betting
     estimator that audit() reports by default.
     """
-    if epsilon_true < 0.0:
-        raise ValueError("epsilon_true must be nonnegative")
-    if K < 1:
-        raise ValueError(f"need K >= 1 canaries per trial, got {K}")
-    if not 0.0 < p0 < 1.0:
-        raise ValueError(f"base rate {p0} not in (0, 1)")
+    _check_harness(epsilon_true, n, K, beta, p0)
     p1 = min(1.0, math.exp(epsilon_true) * p0)
     x = (rng.random((n, K)) < p1).astype(np.uint8)
     y = (rng.random((n, K)) < p0).astype(np.uint8)
@@ -691,8 +687,11 @@ def trials_to_target(target_epsilon: float, epsilon_true: float, K: int,
     Returns max_n when the target is never reached; callers treat that as
     saturation rather than an error. max_n must reach the first grid point, 8.
     """
-    if max_n < 8:
+    if not max_n >= 8:
         raise ValueError(f"max_n {max_n} is below the first trial count, 8")
+    if not target_epsilon >= 0.0:  # NaN would never be reached
+        raise ValueError(f"target_epsilon {target_epsilon} must be nonnegative")
+    _check_harness(epsilon_true, 8, K, beta, p0)
     n = 8
     while n <= max_n:
         est = simulate_known_mechanism(epsilon_true, n, K, beta, rng, p0)

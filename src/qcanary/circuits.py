@@ -87,8 +87,8 @@ def z_on_qubit(qubits: int, qubit: int = 0) -> Observable:
     return Observable(np.diag(diag.astype(complex)))
 
 
-def gate_unitary(g: Gate, circuit: ParamCircuit, params: np.ndarray,
-                 extra_angle: float = 0.0) -> np.ndarray:
+def _gate_unitary(g: Gate, circuit: ParamCircuit, params: np.ndarray,
+                  extra_angle: float = 0.0) -> np.ndarray:
     """Full-register unitary for one gate.
 
     extra_angle shifts this particular gate occurrence, which is how the
@@ -117,7 +117,7 @@ def _walk_density(circuit: ParamCircuit, p: np.ndarray, rho: np.ndarray,
     """rho -> U rho U^dagger through every gate in order, with the angle of
     gate number shifted moved by shift."""
     for i, g in enumerate(circuit.gates):
-        u = gate_unitary(g, circuit, p, extra_angle=shift if i == shifted else 0.0)
+        u = _gate_unitary(g, circuit, p, extra_angle=shift if i == shifted else 0.0)
         rho = u @ rho @ u.conj().T
     return rho
 
@@ -129,7 +129,7 @@ def apply_circuit_pure(circuit: ParamCircuit, params, state: PureState) -> PureS
         raise ValueError(f"state dim {state.dim} does not match circuit dim {circuit.dim}")
     psi = np.asarray(state.amps, dtype=complex)
     for g in circuit.gates:
-        psi = gate_unitary(g, circuit, p) @ psi
+        psi = _gate_unitary(g, circuit, p) @ psi
     return PureState(psi)
 
 

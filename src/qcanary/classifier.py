@@ -70,8 +70,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:  # NaN fails too
+            raise ValueError(f"learning rate {self.learning_rate} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ class _Engine:
         X_q A X_q is the gather A[f, f] with f the bit-q flip, Z_q A Z_q the
         parity signs times A and Y_q A Y_q the signs times A[f, f], all real
         and exact; summed in X, Y, Z order this matches the complex Pauli
-        products of noise.depolarize_qubit bit for bit.
+        products of noise._depolarize_qubit_mat bit for bit.
         """
         f, signs, w = self.flip[q], self.parity[q], p / 3.0
         flipped = A[:, f[:, None], f]
@@ -275,7 +275,7 @@ def _observables(spec: ModelSpec, params: np.ndarray, noise: NoiseSpec) -> np.nd
     """The effective observables A_s, with <Z> = psi^T A_s psi, of the
     rows of the (S, P) params under noise, as one (S, dim, dim) walk back.
     Depolarizing noise acts inside A; shots act later, on <Z> (see
-    _noisy_z)."""
+    _read_losses)."""
     engine = _engine_for(spec)
     _, A = engine.walk_back(engine.layers(np.reshape(params, (-1, spec.param_count))), noise)
     return A
@@ -287,36 +287,24 @@ def _read_z(A: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.einsum("sib,sib->sb", states, A @ states)
 
 
-def _noisy_z(A: np.ndarray, noise: NoiseSpec, states,
-             rng: np.random.Generator | None) -> np.ndarray:
-    """<Z> per state through one model's (1, dim, dim) observable A, which
-    already holds any depolarizing channel; under shots, drawn from rng."""
+def _read_losses(A: np.ndarray, noise: NoiseSpec, states, labels,
+                 rng: np.random.Generator | None) -> np.ndarray:
+    """evaluate_losses for the model whose observable under noise is A, a
+    (1, dim, dim) slice of an _observables stack. A already holds any
+    depolarizing channel; under shots, <Z> is drawn from rng. Binary labels
+    are left to the callers: evaluate_losses and mean_loss check them, the
+    audit generates its own."""
+    labels = _batch_labels(states, labels)
     z = _read_z(A, _stack_states(states, A.shape[-1])[None])[0]
     if noise.kind == "measurement_shots":
         if rng is None:
             raise ValueError("finite-shot evaluation needs an explicit rng")
         z = _sample_z(z, noise.shots, rng)
-    return z
-
-
-def _read_losses(A: np.ndarray, noise: NoiseSpec, states, labels,
-                 rng: np.random.Generator | None) -> np.ndarray:
-    """evaluate_losses for the model whose observable under noise is A, a
-    (1, dim, dim) slice of an _observables stack. Binary labels are left to
-    the callers: evaluate_losses checks them, the audit generates its own."""
-    labels = _batch_labels(states, labels)
-    return _bce(_probs_from_z(_noisy_z(A, noise, states, rng)), labels)
+    return _bce(_probs_from_z(z), labels)
 
 
 # ---------------------------------------------------------------------------
 # public operations
-
-def predict(model: TrainedModel, state, rng: np.random.Generator | None = None) -> float:
-    """Class-1 probability p = (1 + <Z>) / 2 of a pure state under the model's noise."""
-    noise = model.spec.noise
-    z = float(_noisy_z(_observables(model.spec, model.params, noise), noise, [state], rng)[0])
-    return float(np.clip((1.0 + z) / 2.0, 0.0, 1.0))
-
 
 def evaluate_losses(model: TrainedModel, states, labels,
                     rng: np.random.Generator | None = None) -> np.ndarray:
@@ -332,10 +320,9 @@ def evaluate_losses(model: TrainedModel, states, labels,
 
 def mean_loss(spec: ModelSpec, params: np.ndarray, states, labels) -> float:
     """Noiseless exact-expectation mean loss, the quantity training descends."""
-    labels = _binary_labels(_batch_labels(states, labels))
     clean = NoiseSpec.none()
-    z = _noisy_z(_observables(spec, np.asarray(params, dtype=float), clean), clean, states, None)
-    return float(_bce(_probs_from_z(z), labels).mean())
+    return float(_read_losses(_observables(spec, np.asarray(params, dtype=float), clean),
+                              clean, states, _binary_labels(labels), None).mean())
 
 
 def loss_gradient(spec: ModelSpec, params: np.ndarray, states, labels) -> np.ndarray:

@@ -22,9 +22,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .audit import (AuditConfig, DomainError, audit, simulate_known_mechanism,
-                    theory_epsilon_depolarizing, theory_epsilon_measurement,
-                    trials_to_target)
+from .audit import (AuditConfig, DomainError, _check_harness, audit,
+                    simulate_known_mechanism, theory_epsilon_depolarizing,
+                    theory_epsilon_measurement, trials_to_target)
 from .classifier import ModelSpec, TrainConfig
 from .data import load_csv, load_iris_binary, synth_gaussians
 from .encoding import gamma_bound, sigma_bound
@@ -328,16 +328,10 @@ def cmd_bounds(args) -> int:
 def cmd_coverage(args) -> int:
     if args.replications < 0:
         raise ConfigError("--replications must be nonnegative")
-    if args.n < 2:
-        raise ConfigError(f"--n {args.n} must be at least 2 (the confidence bounds)")
-    if args.trial_k < 1:
-        raise ConfigError(f"--trial-k {args.trial_k} must be at least 1")
-    if args.epsilon_true < 0.0:
-        raise ConfigError(f"--epsilon-true {args.epsilon_true} must be nonnegative")
-    if not 0.0 < args.p0 < 1.0:
-        raise ConfigError(f"--p0 {args.p0} not in (0, 1)")
-    if not 0.0 < args.beta < 1.0:
-        raise ConfigError(f"--beta {args.beta} not in (0, 1)")
+    try:
+        _check_harness(args.epsilon_true, args.n, args.trial_k, args.beta, args.p0)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     if args.seed < 0:
         raise ConfigError(f"--seed {args.seed} must be nonnegative")
     violations = 0
@@ -384,13 +378,15 @@ def cmd_compare(args) -> int:
     if doc["compare.max_n"] < 8:
         raise ConfigError(f"compare.max_n {doc['compare.max_n']} is below the "
                           "first trial count, 8")
-    if doc["compare.epsilon_true"] < 0.0:
-        raise ConfigError(f"compare.epsilon_true {doc['compare.epsilon_true']} "
+    if not doc["compare.target_epsilon"] >= 0.0:  # NaN would never be reached
+        raise ConfigError(f"compare.target_epsilon {doc['compare.target_epsilon']} "
                           "must be nonnegative")
-    if not 0.0 < doc["compare.p0"] < 1.0:
-        raise ConfigError(f"compare.p0 {doc['compare.p0']} not in (0, 1)")
-    if not 0.0 < doc["compare.beta"] < 1.0:
-        raise ConfigError(f"compare.beta {doc['compare.beta']} not in (0, 1)")
+    try:
+        # trials_to_target's first grid point is n = 8
+        _check_harness(doc["compare.epsilon_true"], 8, min(ks), doc["compare.beta"],
+                       doc["compare.p0"])
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     if doc["audit.seed"] < 0:
         raise ConfigError(f"audit.seed {doc['audit.seed']} must be nonnegative")
 

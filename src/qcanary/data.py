@@ -30,6 +30,11 @@ class Dataset:
     feature_maxs: np.ndarray
     class_names: tuple
 
+    def __post_init__(self):
+        # a NaN or infinite raw value turns its whole scaled column into NaN
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite")
+
     @property
     def size(self) -> int:
         return self.features.shape[0]

@@ -16,7 +16,7 @@ holds surely once offsets are clipped to gamma_bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
@@ -51,25 +51,17 @@ def gamma_bound(d: float) -> float:
 
 @dataclass(frozen=True)
 class OffsetSpec:
-    """Offset distribution for one adjacency threshold d.
-
-    sigma and gamma default to their bounds; explicit values may only
-    tighten them.
-    """
+    """Offset distribution for one adjacency threshold d: the widths
+    sigma and gamma are derived, always equal to their bounds."""
 
     d: float
     delta_conf: float = 0.01
-    sigma: float | None = None
-    gamma: float | None = None
+    sigma: float = field(init=False)
+    gamma: float = field(init=False)
 
     def __post_init__(self):
-        for name, bound in (("sigma", sigma_bound(self.d, self.delta_conf)),
-                            ("gamma", gamma_bound(self.d))):
-            value = getattr(self, name)
-            if value is None:
-                object.__setattr__(self, name, bound)
-            elif not 0.0 <= value <= bound + 1e-12:  # NaN fails too
-                raise ValueError(f"{name} {value} violates the bound {bound}")
+        object.__setattr__(self, "sigma", sigma_bound(self.d, self.delta_conf))
+        object.__setattr__(self, "gamma", gamma_bound(self.d))
 
 
 def _encode_rows(features: np.ndarray, offsets=None) -> np.ndarray:

@@ -75,6 +75,9 @@ def _depolarize_global_mat(mat: np.ndarray, p: float) -> np.ndarray:
 
 
 def _depolarize_qubit_mat(mat: np.ndarray, qubit: int, p: float) -> np.ndarray:
+    """The depolarizing channel on one qubit in its Pauli-twirl form,
+    (1-p) rho + p/3 (X rho X + Y rho Y + Z rho Z), which fully depolarizes
+    that qubit at p = 3/4."""
     n = mat.shape[-1].bit_length() - 1
     out = (1.0 - p) * mat
     for pauli in (_X, _Y, _Z):
@@ -88,17 +91,3 @@ def depolarize_global(rho: DensityMatrix, p: float) -> DensityMatrix:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} not in [0, 1]")
     return DensityMatrix(_depolarize_global_mat(np.asarray(rho.mat, dtype=complex), p))
-
-
-def depolarize_qubit(rho: DensityMatrix, qubit: int, p: float) -> DensityMatrix:
-    """Single-qubit depolarizing channel on one qubit of a register.
-
-    Uses the Pauli-twirl form (1-p) rho + p/3 (X rho X + Y rho Y + Z rho Z),
-    which fully depolarizes the target qubit at p = 3/4.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} not in [0, 1]")
-    n = rho.dim.bit_length() - 1
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
-    return DensityMatrix(_depolarize_qubit_mat(np.asarray(rho.mat, dtype=complex), qubit, p))

@@ -103,32 +103,22 @@ def density(mat) -> DensityMatrix:
     return DensityMatrix(_as_complex_matrix(mat)).check()
 
 
-def hermitian_eigenvalues(h) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted descending.
-
-    Rejects non-Hermitian input and dimensions above MAX_DIM. The sum of
-    the returned values equals the trace up to solver round-off.
-    """
-    m = _as_complex_matrix(h)
-    if m.shape[0] > MAX_DIM:
-        raise ValueError(f"dimension {m.shape[0]} exceeds the supported {MAX_DIM}")
-    if not is_hermitian(m):
-        raise ValueError("matrix is not Hermitian")
-    return np.linalg.eigvalsh(m)[::-1].copy()
-
-
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the 1-norm of (rho - sigma).
 
     Computed from the eigenvalues of the difference matrix, which is
-    Hermitian whenever both inputs are. This is the operational
+    Hermitian whenever both inputs are; a non-Hermitian difference and
+    dimensions above MAX_DIM are rejected. This is the operational
     distinguishability metric used for canary adjacency.
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    diff = np.asarray(rho.mat, dtype=complex) - np.asarray(sigma.mat, dtype=complex)
-    evals = hermitian_eigenvalues(diff)
-    return float(0.5 * np.abs(evals).sum())
+    diff = _as_complex_matrix(rho.mat) - _as_complex_matrix(sigma.mat)
+    if diff.shape[0] > MAX_DIM:
+        raise ValueError(f"dimension {diff.shape[0]} exceeds the supported {MAX_DIM}")
+    if not is_hermitian(diff):
+        raise ValueError("difference matrix is not Hermitian")
+    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
 def pure_trace_distance(a: PureState, b: PureState) -> float:

@@ -519,6 +519,11 @@ def test_simulate_validation(rng):
         qc.simulate_known_mechanism(-0.5, 16, 4, 0.05, rng)
     with pytest.raises(ValueError):
         qc.simulate_known_mechanism(0.5, 16, 4, 0.05, rng, p0=0.0)
+    # NaN compares False both ways, so it must fail the range checks too
+    with pytest.raises(ValueError):
+        qc.simulate_known_mechanism(math.nan, 16, 4, 0.05, rng)
+    with pytest.raises(ValueError, match="target_epsilon"):
+        qc.trials_to_target(math.nan, 0.5, 4, 0.05, rng)
 
 
 def test_trials_to_target_doubling_grid(rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qcanary as qc
-from qcanary.circuits import Gate, apply_circuit_pure, gate_unitary
+from qcanary.circuits import Gate, _gate_unitary, apply_circuit_pure
 from qcanary.states import pure_to_density
 
 from conftest import random_pure
@@ -12,7 +12,7 @@ from conftest import random_pure
 
 def test_cx_matrix_msb_control():
     circ = qc.ParamCircuit(qubits=2, gates=(Gate("CX", (0, 1)),), param_count=0)
-    u = gate_unitary(circ.gates[0], circ, np.array([]))
+    u = _gate_unitary(circ.gates[0], circ, np.array([]))
     # control is qubit 0 (most significant bit): |10> -> |11>, |11> -> |10>
     expect = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     assert np.allclose(u, expect, atol=1e-14)

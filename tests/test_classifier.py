@@ -9,8 +9,8 @@ import qcanary as qc
 from qcanary import ModelSpec, NoiseSpec, TrainConfig, TrainedModel
 from qcanary.classifier import (_engine_for, _observables, _stack_states, _train_stack,
                                 loss_gradient, mean_loss)
-from qcanary.circuits import (Gate, apply_circuit_density, build_real_amplitudes, expectation,
-                              gate_unitary, parameter_shift_gradient, z_on_qubit)
+from qcanary.circuits import (Gate, _gate_unitary, apply_circuit_density, build_real_amplitudes,
+                              expectation, parameter_shift_gradient, z_on_qubit)
 from qcanary.noise import _depolarize_qubit_mat
 from qcanary.states import pure_to_density
 
@@ -20,10 +20,15 @@ def _fixed_model(qubits=1, reps=1, **kw) -> TrainedModel:
     return TrainedModel(spec=spec, params=np.zeros(spec.param_count), train_log=())
 
 
+def _p1(model: TrainedModel, state, rng=None) -> float:
+    """The class-1 probability, read back as exp(-loss) at label 1."""
+    return math.exp(-qc.evaluate_losses(model, [state], [1], rng)[0])
+
+
 def test_predict_single_qubit_closed_form():
     # identity ansatz leaves RY(pi/3)|0>, so p = (1 + cos(pi/3)) / 2 = 3/4
     model = _fixed_model()
-    p = qc.predict(model, qc.angle_encode([1 / 3]))
+    p = _p1(model, qc.angle_encode([1 / 3]))
     assert p == pytest.approx(0.75, abs=1e-12)
 
 
@@ -149,7 +154,7 @@ def test_global_noise_scale_matches_density_walk(rng):
         params = rng.uniform(-1, 1, spec.param_count)
         st = qc.angle_encode(rng.uniform(0, 1, 3))
         model = TrainedModel(spec=spec, params=params, train_log=())
-        fast = qc.predict(model, st)
+        fast = _p1(model, st)
 
         circ = build_real_amplitudes(3, 2)
         rho = apply_circuit_density(circ, params, pure_to_density(st), spec.noise)
@@ -162,14 +167,14 @@ def test_per_qubit_full_mix_predicts_half(rng):
                      noise=NoiseSpec.depolarizing(0.75, scope="per_qubit"))
     params = rng.uniform(-1, 1, spec.param_count)
     model = TrainedModel(spec=spec, params=params, train_log=())
-    assert qc.predict(model, qc.angle_encode([0.3, 0.8])) == pytest.approx(0.5, abs=1e-12)
+    assert _p1(model, qc.angle_encode([0.3, 0.8])) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_total_depolarizing_predicts_half_exactly(rng):
     spec = ModelSpec(qubits=2, ansatz_reps=1, noise=NoiseSpec.depolarizing(1.0))
     params = rng.uniform(-1, 1, spec.param_count)
     model = TrainedModel(spec=spec, params=params, train_log=())
-    p = qc.predict(model, qc.angle_encode([0.3, 0.8]))
+    p = _p1(model, qc.angle_encode([0.3, 0.8]))
     assert p == 0.5  # scale is exactly zero, no float residue allowed
     assert qc.evaluate_losses(model, [qc.angle_encode([0.3, 0.8])], [1])[0] == math.log(2.0)
 
@@ -179,9 +184,9 @@ def test_shot_noise_needs_rng_and_is_deterministic(rng):
     model = TrainedModel(spec=spec, params=np.zeros(spec.param_count), train_log=())
     st = qc.angle_encode([0.37])
     with pytest.raises(ValueError):
-        qc.predict(model, st)
-    a = qc.predict(model, st, np.random.default_rng(4))
-    b = qc.predict(model, st, np.random.default_rng(4))
+        _p1(model, st)
+    a = _p1(model, st, np.random.default_rng(4))
+    b = _p1(model, st, np.random.default_rng(4))
     assert a == b
 
 
@@ -192,9 +197,8 @@ def test_shot_noise_concentrates_with_many_shots():
                          train_log=())
     st = qc.angle_encode([0.37])
     clean = ModelSpec(qubits=1, ansatz_reps=1)
-    exact = qc.predict(TrainedModel(spec=clean, params=np.zeros(clean.param_count),
-                                    train_log=()), st)
-    sampled = qc.predict(model, st, np.random.default_rng(8))
+    exact = _p1(TrainedModel(spec=clean, params=np.zeros(clean.param_count), train_log=()), st)
+    sampled = _p1(model, st, np.random.default_rng(8))
     assert abs(sampled - exact) < 0.01
 
 
@@ -238,7 +242,7 @@ def test_engine_layers_match_kron_reference(rng):
         circuit = build_real_amplitudes(qubits, reps)
         chain = np.eye(2**qubits)
         for q in range(qubits - 1):
-            chain = gate_unitary(Gate("CX", (q, q + 1)), circuit, np.zeros(0)).real @ chain
+            chain = _gate_unitary(Gate("CX", (q, q + 1)), circuit, np.zeros(0)).real @ chain
         theta = rng.uniform(-np.pi, np.pi, size=(3, (reps + 1) * qubits))
         got = _engine_for(ModelSpec(qubits=qubits, ansatz_reps=reps)).layers(theta)
         for s, layer in itertools.product(range(3), range(reps + 1)):
@@ -285,10 +289,7 @@ def test_engine_is_real(rng):
     assert np.array_equal(twin_model.params, model.params)
     assert np.array_equal(qc.evaluate_losses(model, twins, labels),
                           qc.evaluate_losses(model, real, labels))
-    assert qc.predict(model, twins[0]) == qc.predict(model, real[0])
 
-    with pytest.raises(ValueError, match="imaginary"):
-        qc.predict(model, phased[0])
     with pytest.raises(ValueError, match="imaginary"):
         qc.evaluate_losses(model, phased, labels)
     with pytest.raises(ValueError, match="imaginary"):
@@ -324,7 +325,7 @@ def test_eval_model_swaps_noise_only(rng):
     noisy = qc.eval_model(model, NoiseSpec.depolarizing(1.0))
     assert np.array_equal(noisy.params, model.params)
     assert noisy.spec.noise.p == 1.0
-    assert qc.predict(noisy, qc.angle_encode([0.2, 0.9])) == 0.5
+    assert _p1(noisy, qc.angle_encode([0.2, 0.9])) == 0.5
 
 
 def test_spec_validation():
@@ -332,5 +333,6 @@ def test_spec_validation():
         ModelSpec(qubits=0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=5, learning_rate=-0.1)
+    for rate in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            TrainConfig(epochs=5, learning_rate=rate)

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import math
 import os
 
 import numpy as np
@@ -88,7 +89,7 @@ def test_invalid_field_is_config_error():
                        ("audit.delta_conf", 1.5), ("audit.delta_conf", 0.0),
                        ("audit.theory_delta", 1.5), ("audit.theory_r", -1),
                        ("model.qubits", 0), ("train.epochs", 0), ("noise.p", 2.0),
-                       ("audit.seed", -1)):
+                       ("audit.seed", -1), ("train.learning_rate", math.nan)):
         doc = load_config(None)
         doc[key] = value
         with pytest.raises(ConfigError):
@@ -223,6 +224,14 @@ def test_runtime_error_exits_1_without_output(tmp_path):
     out = str(tmp_path / "never.json")
     assert main(["audit", "--config", cfg, "--out", out]) == 1
     assert not os.path.exists(out)
+    # a nan cell parses as a float, and scaling would spread it over its column
+    rows = "".join(f"0.{i},0.5,0.{9 - i},{('setosa', 'versicolor')[i % 2]}\n"
+                   for i in range(10))
+    csv = tmp_path / "nan.csv"
+    csv.write_text("a,b,c,species\n" + rows + "nan,0.5,0.5,setosa\n")
+    cfg = write_config(tmp_path, {"dataset.source": "csv", "dataset.csv_path": str(csv)})
+    assert main(["audit", "--config", cfg, "--out", out]) == 1
+    assert not os.path.exists(out)
 
 
 def test_adjacency_violation_exits_1(tmp_path, monkeypatch):
@@ -351,7 +360,7 @@ def test_compare_rejects_beta_outside_unit_interval(tmp_path):
 def test_coverage_checks_harness_inputs_before_any_replication(tmp_path):
     # each bad input fails the config check, with or without replications
     for flags in (["--trial-k", "0"], ["--n", "1"], ["--p0", "1.5"], ["--p0", "0"],
-                  ["--epsilon-true", "-0.5"], ["--seed", "-1"]):
+                  ["--epsilon-true", "-0.5"], ["--epsilon-true", "nan"], ["--seed", "-1"]):
         for reps in ("0", "2"):
             out = str(tmp_path / "never.json")
             assert main(["coverage", "--n", "16", *flags, "--replications", reps,
@@ -363,7 +372,8 @@ def test_compare_checks_harness_inputs_before_any_replication(tmp_path):
     # max_n below the grid would report max_n without a single estimate;
     # qml_trials is a removed key
     for extra in ({"compare.max_n": 4}, {"compare.p0": 1.5}, {"compare.p0": 0.0},
-                  {"compare.epsilon_true": -0.5}, {"compare.qml_trials": 0},
+                  {"compare.epsilon_true": -0.5}, {"compare.epsilon_true": math.nan},
+                  {"compare.target_epsilon": math.nan}, {"compare.qml_trials": 0},
                   {"audit.seed": -1}):
         cfg = tmp_path / "cmp.json"
         cfg.write_text(json.dumps({"compare.ks": [4], "compare.replications": 2, **extra}))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,10 @@ def test_load_csv_reports_malformed_lines(tmp_path):
     with pytest.raises(ValueError) as err:
         qc.load_csv(path, "cls")
     assert "3" in str(err.value) and "5" in str(err.value)
+    # float() parses nan, and scaling would turn its whole column to NaN
+    path = _write(tmp_path, "a,cls\n0.1,x\nnan,y\n0.3,x\n")
+    with pytest.raises(ValueError, match="finite"):
+        qc.load_csv(path, "cls")
 
 
 def test_load_csv_class_filtering(tmp_path):
@@ -83,6 +89,8 @@ def test_synth_gaussians(rng):
     assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
     again = qc.synth_gaussians(3, 40, 2.0, np.random.default_rng(20260816))
     assert np.array_equal(ds.features, again.features)
+    with pytest.raises(ValueError, match="finite"):
+        qc.synth_gaussians(3, 40, math.nan, rng)
 
 
 def test_synth_separation_separates():

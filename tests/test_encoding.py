@@ -42,19 +42,9 @@ def test_offset_spec_fills_defaults():
     spec = OffsetSpec(d=0.1)
     assert spec.sigma == pytest.approx(qc.sigma_bound(0.1, 0.01), abs=1e-15)
     assert spec.gamma == pytest.approx(qc.gamma_bound(0.1), abs=1e-15)
-
-
-def test_offset_spec_rejects_looser_widths():
-    with pytest.raises(ValueError):
-        OffsetSpec(d=0.1, sigma=0.2)
-    with pytest.raises(ValueError):
-        OffsetSpec(d=0.1, gamma=0.5)
-    # NaN compares False both ways, so it must fail the bound checks too
-    for width in ("sigma", "gamma"):
-        with pytest.raises(ValueError):
-            OffsetSpec(d=0.1, **{width: math.nan})
-    # tighter than the bound is fine
-    OffsetSpec(d=0.1, sigma=0.01, gamma=0.1)
+    # the widths are derived from d and delta_conf, not set
+    with pytest.raises(TypeError):
+        OffsetSpec(d=0.1, sigma=0.01)
 
 
 def test_sample_offsets_clipped(rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qcanary as qc
-from qcanary.states import MAX_DIM, hermitian_eigenvalues
+from qcanary.states import MAX_DIM, DensityMatrix
 
 from conftest import random_density, random_pure
 
@@ -76,12 +76,11 @@ def test_trace_distance_properties(rng):
     assert qc.trace_distance(same, same) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_eigenvalues_sorted_descending(rng):
-    vals = hermitian_eigenvalues(np.diag([0.1, 0.7, 0.2, 0.0]))
-    assert np.array_equal(vals, np.array([0.7, 0.2, 0.1, 0.0]))
-
-
 def test_dimension_cap_enforced():
-    big = np.eye(2 * MAX_DIM) / (2 * MAX_DIM)
+    big = DensityMatrix(np.eye(2 * MAX_DIM) / (2 * MAX_DIM))
     with pytest.raises(ValueError):
-        hermitian_eigenvalues(big)
+        qc.trace_distance(big, big)
+    # the Hermitian check rides along with the cap
+    skew = DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        qc.trace_distance(skew, qc.density(np.eye(2) / 2))
