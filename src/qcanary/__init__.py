@@ -14,7 +14,7 @@ from .audit import (AuditConfig, AuditReport, DomainError, EpsilonEstimate,
                     run_trial, sample_complexity_estimate,
                     simulate_known_mechanism, theory_epsilon_depolarizing,
                     theory_epsilon_measurement, trials_to_target)
-from .circuits import (Gate, Observable, ParamCircuit, apply_circuit_density,
+from .circuits import (Gate, ParamCircuit, apply_circuit_density,
                        apply_circuit_pure, build_real_amplitudes,
                        expectation, parameter_shift_gradient, z_on_qubit)
 from .classifier import (ModelSpec, TrainConfig, TrainedModel, eval_model,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditConfig", "AuditReport", "Dataset", "DensityMatrix",
     "DomainError", "EpsilonEstimate", "Gate", "ModelSpec", "NoiseSpec",
-    "Observable", "OffsetSpec", "ParamCircuit", "PureState",
+    "OffsetSpec", "ParamCircuit", "PureState",
     "TrainConfig", "TrainedModel", "TrialMatrix", "angle_encode",
     "angle_encode_offset", "apply_circuit_density", "apply_circuit_pure",
     "audit", "betting_lower", "betting_upper",

@@ -77,7 +77,6 @@ class AuditConfig:
     noise: NoiseSpec = field(default_factory=NoiseSpec.none)
     delta_conf: float = 0.01
     beta: float = 0.05
-    delta: float | None = None
     kappa_rule: str = "reference"
     estimator: str = "betting"
     seed: int = 0
@@ -97,8 +96,6 @@ class AuditConfig:
             raise ValueError(f"theory_delta {self.theory_delta} not in (0, 1)")
         if self.theory_r < 0:
             raise ValueError(f"projector rank {self.theory_r} must be nonnegative")
-        if self.delta is not None and not 0.0 <= self.delta < 1.0:
-            raise ValueError(f"delta {self.delta} not in [0, 1)")
         if self.kappa_rule not in KAPPA_RULES:
             raise ValueError(f"unknown kappa rule {self.kappa_rule!r}")
         if self.estimator not in ESTIMATORS:
@@ -110,8 +107,6 @@ class AuditConfig:
                              "use global scope or evaluate noise at audit time only")
 
     def resolved_delta(self) -> float:
-        if self.delta is not None:
-            return self.delta
         # shot noise is an (epsilon, delta) mechanism; depolarizing is pure epsilon
         return self.theory_delta if self.noise.kind == "measurement_shots" else 0.0
 
@@ -382,8 +377,10 @@ def theory_epsilon_measurement(N: int, d: float, r: int, mu: float,
         raise ValueError("need d >= 0 and r >= 0")
     if not 0.0 < target_delta < 1.0:
         raise ValueError(f"target_delta {target_delta} not in (0, 1)")
+    if not 0.0 < mu < 1.0:  # NaN fails too
+        raise ValueError(f"outcome probability mu {mu} not in (0, 1)")
     A = N * d * r
-    if not 0.0 < mu < 1.0 or mu * (1.0 - mu - A) <= 0.0:
+    if mu * (1.0 - mu - A) <= 0.0:
         raise DomainError(
             f"mu (1 - mu - N d r) must be positive: mu = {mu}, N d r = {A}")
 
@@ -662,6 +659,15 @@ def _check_harness(epsilon_true: float, n: int, K: int, beta: float, p0: float) 
         raise ValueError(f"base rate {p0} not in (0, 1)")
 
 
+def _check_target(target_epsilon: float, max_n: int) -> None:
+    """trials_to_target's own inputs: a grid that reaches n = 8 and a target
+    that NaN fails, since a NaN target would never be reached."""
+    if not max_n >= 8:
+        raise ValueError(f"max_n {max_n} is below the first trial count, 8")
+    if not target_epsilon >= 0.0:
+        raise ValueError(f"target_epsilon {target_epsilon} must be nonnegative")
+
+
 def simulate_known_mechanism(epsilon_true: float, n: int, K: int, beta: float,
                              rng: np.random.Generator,
                              p0: float = 0.3) -> EpsilonEstimate:
@@ -687,10 +693,7 @@ def trials_to_target(target_epsilon: float, epsilon_true: float, K: int,
     Returns max_n when the target is never reached; callers treat that as
     saturation rather than an error. max_n must reach the first grid point, 8.
     """
-    if not max_n >= 8:
-        raise ValueError(f"max_n {max_n} is below the first trial count, 8")
-    if not target_epsilon >= 0.0:  # NaN would never be reached
-        raise ValueError(f"target_epsilon {target_epsilon} must be nonnegative")
+    _check_target(target_epsilon, max_n)
     _check_harness(epsilon_true, 8, K, beta, p0)
     n = 8
     while n <= max_n:

@@ -71,20 +71,11 @@ class ParamCircuit:
         return 2**self.qubits
 
 
-@dataclass(frozen=True)
-class Observable:
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def z_on_qubit(qubits: int, qubit: int = 0) -> Observable:
-    """Pauli Z on one qubit of a register, identity elsewhere."""
+def z_on_qubit(qubits: int, qubit: int = 0) -> np.ndarray:
+    """Pauli Z on one qubit of a register, identity elsewhere, as a matrix."""
     idx = np.arange(2**qubits)
     diag = 1.0 - 2.0 * ((idx >> (qubits - 1 - qubit)) & 1)
-    return Observable(np.diag(diag.astype(complex)))
+    return np.diag(diag.astype(complex))
 
 
 def _gate_unitary(g: Gate, circuit: ParamCircuit, params: np.ndarray,
@@ -174,18 +165,18 @@ def build_real_amplitudes(qubits: int, reps: int) -> ParamCircuit:
                         param_count=(reps + 1) * qubits)
 
 
-def expectation(rho: DensityMatrix, obs: Observable) -> float:
-    """Tr(obs rho), with a guard on the imaginary residue."""
-    if rho.dim != obs.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, observable {obs.dim}")
-    val = complex(np.trace(np.asarray(obs.matrix, dtype=complex) @ np.asarray(rho.mat)))
+def expectation(rho: DensityMatrix, obs) -> float:
+    """Tr(obs rho) for an observable matrix, with a guard on the imaginary residue."""
+    obs = np.asarray(obs, dtype=complex)
+    if rho.dim != obs.shape[0]:
+        raise ValueError(f"dimension mismatch: state {rho.dim}, observable {obs.shape[0]}")
+    val = complex(np.trace(obs @ np.asarray(rho.mat)))
     if abs(val.imag) > 1e-9:
         raise ValueError(f"expectation has imaginary residue {val.imag}")
     return float(val.real)
 
 
-def parameter_shift_gradient(circuit: ParamCircuit, params, state,
-                             obs: Observable) -> np.ndarray:
+def parameter_shift_gradient(circuit: ParamCircuit, params, state, obs) -> np.ndarray:
     """Exact gradient of Tr(obs U rho U') over the parameter vector.
 
     Takes a pure or density input state. Each RY occurrence is shifted by
@@ -198,7 +189,7 @@ def parameter_shift_gradient(circuit: ParamCircuit, params, state,
     grad = np.zeros_like(p)
     rho_in = pure_to_density(state) if isinstance(state, PureState) else state
     rho = np.asarray(rho_in.mat, dtype=complex)
-    obs_mat = np.asarray(obs.matrix, dtype=complex)
+    obs_mat = np.asarray(obs, dtype=complex)
 
     def forward(idx: int, shift: float) -> float:
         return float(np.trace(obs_mat @ _walk_density(circuit, p, rho, idx, shift)).real)

@@ -22,8 +22,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .audit import (AuditConfig, DomainError, _check_harness, audit,
-                    simulate_known_mechanism, theory_epsilon_depolarizing,
+from .audit import (AuditConfig, DomainError, _check_harness, _check_target,
+                    audit, simulate_known_mechanism, theory_epsilon_depolarizing,
                     theory_epsilon_measurement, trials_to_target)
 from .classifier import ModelSpec, TrainConfig
 from .data import load_csv, load_iris_binary, synth_gaussians
@@ -55,7 +55,6 @@ CONFIG_SCHEMA = {
     "audit.d": ("float", 0.1),
     "audit.delta_conf": ("float", 0.01),
     "audit.beta": ("float", 0.05),
-    "audit.delta": ("float|null", None),
     "audit.kappa_rule": ("str", "reference"),
     "audit.estimator": ("str", "betting"),
     "audit.seed": ("int", 0),
@@ -152,7 +151,7 @@ def build_audit_config(doc: dict) -> AuditConfig:
             n=doc["audit.n"], K=doc["audit.K"], d=doc["audit.d"],
             model=model, train=train, noise=noise,
             delta_conf=doc["audit.delta_conf"], beta=doc["audit.beta"],
-            delta=doc["audit.delta"], kappa_rule=doc["audit.kappa_rule"],
+            kappa_rule=doc["audit.kappa_rule"],
             estimator=doc["audit.estimator"], seed=doc["audit.seed"],
             theory_delta=doc["audit.theory_delta"],
             theory_r=doc["audit.theory_r"])
@@ -375,13 +374,8 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare.ks must list positive canary counts")
     if doc["compare.replications"] < 1:
         raise ConfigError("compare.replications must be at least 1")
-    if doc["compare.max_n"] < 8:
-        raise ConfigError(f"compare.max_n {doc['compare.max_n']} is below the "
-                          "first trial count, 8")
-    if not doc["compare.target_epsilon"] >= 0.0:  # NaN would never be reached
-        raise ConfigError(f"compare.target_epsilon {doc['compare.target_epsilon']} "
-                          "must be nonnegative")
     try:
+        _check_target(doc["compare.target_epsilon"], doc["compare.max_n"])
         # trials_to_target's first grid point is n = 8
         _check_harness(doc["compare.epsilon_true"], 8, min(ks), doc["compare.beta"],
                        doc["compare.p0"])

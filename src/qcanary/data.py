@@ -18,20 +18,17 @@ import numpy as np
 class Dataset:
     """Binary-labeled feature table, scaled to the unit hypercube.
 
-    feature_mins/feature_maxs record the pre-scaling column ranges so
-    values can be mapped back. A constant column has min == max and is
-    scaled to identically 0 (the convention that keeps angles defined).
+    A constant column has min == max and is scaled to identically 0 (the
+    convention that keeps angles defined).
     """
 
     features: np.ndarray
     labels: np.ndarray
     feature_names: tuple
-    feature_mins: np.ndarray
-    feature_maxs: np.ndarray
     class_names: tuple
 
     def __post_init__(self):
-        # a NaN or infinite raw value turns its whole scaled column into NaN
+        # for a table built by hand, which skips _minmax_scale's check
         if not np.isfinite(self.features).all():
             raise ValueError("features must be finite")
 
@@ -43,17 +40,16 @@ class Dataset:
     def feature_count(self) -> int:
         return self.features.shape[1]
 
-    def unscale(self, scaled) -> np.ndarray:
-        span = self.feature_maxs - self.feature_mins
-        return np.asarray(scaled, dtype=float) * span + self.feature_mins
 
-
-def _minmax_scale(raw: np.ndarray):
+def _minmax_scale(raw: np.ndarray) -> np.ndarray:
+    # checked before dividing: an infinite span would give inf / inf
+    if not np.isfinite(raw).all():
+        raise ValueError("features must be finite")
     mins = raw.min(axis=0)
     maxs = raw.max(axis=0)
     span = maxs - mins
     safe = np.where(span > 0.0, span, 1.0)
-    return (raw - mins) / safe, mins, maxs
+    return (raw - mins) / safe
 
 
 def load_csv(path, label_column: str, keep_classes=None) -> Dataset:
@@ -104,10 +100,10 @@ def load_csv(path, label_column: str, keep_classes=None) -> Dataset:
             f"{path}: need exactly two classes, found {sorted(set(raw_labels))}; "
             "pass keep_classes to filter")
 
-    scaled, mins, maxs = _minmax_scale(np.asarray(rows, dtype=float))
+    scaled = _minmax_scale(np.asarray(rows, dtype=float))
     labels = np.array([classes.index(lab) for lab in raw_labels], dtype=np.int64)
     return Dataset(features=scaled, labels=labels, feature_names=feature_names,
-                   feature_mins=mins, feature_maxs=maxs, class_names=tuple(classes))
+                   class_names=tuple(classes))
 
 
 def load_iris_binary(classes=("setosa", "versicolor")) -> Dataset:
@@ -133,7 +129,6 @@ def synth_gaussians(m: int, per_class: int, separation: float,
     raw = np.concatenate([lo, hi], axis=0)
     labels = np.concatenate([np.zeros(per_class, dtype=np.int64),
                              np.ones(per_class, dtype=np.int64)])
-    scaled, mins, maxs = _minmax_scale(raw)
     names = tuple(f"f{j}" for j in range(m))
-    return Dataset(features=scaled, labels=labels, feature_names=names,
-                   feature_mins=mins, feature_maxs=maxs, class_names=("low", "high"))
+    return Dataset(features=_minmax_scale(raw), labels=labels, feature_names=names,
+                   class_names=("low", "high"))

@@ -42,10 +42,6 @@ class PureState:
     def dim(self) -> int:
         return self.amps.shape[0]
 
-    @property
-    def qubits(self) -> int:
-        return self.dim.bit_length() - 1
-
     def check(self) -> "PureState":
         v = np.asarray(self.amps, dtype=complex)
         if v.ndim != 1:
@@ -68,10 +64,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    @property
-    def qubits(self) -> int:
-        return self.dim.bit_length() - 1
 
     def check(self) -> "DensityMatrix":
         m = _as_complex_matrix(self.mat)
@@ -130,9 +122,6 @@ def pure_trace_distance(a: PureState, b: PureState) -> float:
 
 
 def pure_to_density(psi: PureState) -> DensityMatrix:
-    """Outer product |psi><psi| as a validated density matrix."""
-    v = np.asarray(psi.amps, dtype=complex)
-    norm2 = float(np.vdot(v, v).real)
-    if abs(norm2 - 1.0) > NORM_ATOL:
-        raise ValueError(f"statevector is not normalized: |psi|^2 = {norm2}")
+    """Outer product |psi><psi| of a validated statevector."""
+    v = np.asarray(psi.check().amps, dtype=complex)
     return DensityMatrix(np.outer(v, v.conj()))

@@ -261,8 +261,7 @@ def test_generate_canaries_fit_and_clamp(dataset, rng):
 
 def test_generate_canaries_constant_feature(rng):
     ds = qc.Dataset(features=np.full((10, 2), 0.5), labels=np.zeros(10, dtype=np.int64),
-                    feature_names=("a", "b"), feature_mins=np.zeros(2),
-                    feature_maxs=np.ones(2), class_names=("x", "y"))
+                    feature_names=("a", "b"), class_names=("x", "y"))
     feats, _ = qc.generate_canaries(ds, 20, rng)
     assert np.all(feats == 0.5)
 

@@ -19,8 +19,8 @@ def test_cx_matrix_msb_control():
 
 
 def test_z_observable_indexing():
-    assert np.allclose(np.diag(qc.z_on_qubit(2, 0).matrix), [1, 1, -1, -1])
-    assert np.allclose(np.diag(qc.z_on_qubit(2, 1).matrix), [1, -1, 1, -1])
+    assert np.allclose(np.diag(qc.z_on_qubit(2, 0)), [1, 1, -1, -1])
+    assert np.allclose(np.diag(qc.z_on_qubit(2, 1)), [1, -1, 1, -1])
 
 
 def test_ansatz_shapes():

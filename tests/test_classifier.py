@@ -158,7 +158,7 @@ def test_global_noise_scale_matches_density_walk(rng):
 
         circ = build_real_amplitudes(3, 2)
         rho = apply_circuit_density(circ, params, pure_to_density(st), spec.noise)
-        z = float(np.trace(np.asarray(z_on_qubit(spec.qubits).matrix) @ rho.mat).real)
+        z = float(np.trace(np.asarray(z_on_qubit(spec.qubits)) @ rho.mat).real)
         assert fast == pytest.approx((1 + z) / 2, abs=1e-12)
 
 

@@ -184,7 +184,8 @@ def test_config_error_exits_2_without_output(tmp_path):
     removed = ({"train.optimizer": "gradient_descent"}, {"model.train_shots": None},
                {"audit.statistic": "per_canary"}, {"audit.eval_encoding": "phi2"},
                {"audit.kappa_value": 0.5}, {"model.noise_placement": "input"},
-               {"audit.kappa_rule": "fixed"}, {"model.encoding_axis": "RY"})
+               {"audit.kappa_rule": "fixed"}, {"model.encoding_axis": "RY"},
+               {"audit.delta": 0.0})
     for extra in ({**shots, "audit.theory_delta": 1.5}, {**shots, "audit.theory_r": -1},
                   {"audit.delta_conf": 1.5}, {"audit.seed": -1},
                   {"dataset.synth_seed": -1}, *removed):
@@ -280,7 +281,9 @@ def test_bounds_bad_flag_values_exit_2(tmp_path):
                   ["--d", "0.1", "--p", "0.05", "--dim", "1"],
                   ["--d", "0.1", "--shots", "0", "--mu", "0.3"],
                   ["--d", "0.1", "--delta-conf", "0"],
-                  ["--d", "0.1", *shots, "--target-delta", "2"]):
+                  ["--d", "0.1", *shots, "--target-delta", "2"],
+                  ["--d", "1e-4", "--shots", "100", "--mu", "1.5"],
+                  ["--d", "1e-4", "--shots", "100", "--mu", "nan"]):
         assert main(["bounds", *flags, "--out", out]) == 2, flags
         assert not os.path.exists(out)
 

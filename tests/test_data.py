@@ -24,13 +24,6 @@ def test_iris_other_pair():
     assert ds.class_names == ("versicolor", "virginica")
 
 
-def test_unscale_roundtrip():
-    ds = qc.load_iris_binary()
-    raw = ds.unscale(ds.features)
-    assert raw[:, 0].max() == pytest.approx(ds.feature_maxs[0], abs=1e-12)
-    assert raw[:, 0].min() == pytest.approx(ds.feature_mins[0], abs=1e-12)
-
-
 def _write(tmp_path, text):
     path = tmp_path / "data.csv"
     path.write_text(text)
@@ -51,10 +44,11 @@ def test_load_csv_reports_malformed_lines(tmp_path):
     with pytest.raises(ValueError) as err:
         qc.load_csv(path, "cls")
     assert "3" in str(err.value) and "5" in str(err.value)
-    # float() parses nan, and scaling would turn its whole column to NaN
-    path = _write(tmp_path, "a,cls\n0.1,x\nnan,y\n0.3,x\n")
-    with pytest.raises(ValueError, match="finite"):
-        qc.load_csv(path, "cls")
+    # float() parses nan and inf, and scaling would turn their column to NaN
+    for cell in ("nan", "inf"):
+        path = _write(tmp_path, f"a,cls\n0.1,x\n{cell},y\n0.3,x\n")
+        with pytest.raises(ValueError, match="finite"):
+            qc.load_csv(path, "cls")
 
 
 def test_load_csv_class_filtering(tmp_path):
