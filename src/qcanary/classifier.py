@@ -7,12 +7,13 @@ gradient descent on exact adjoint gradients.
 
 One engine serves every path, and it works on stacks of models. A privacy
 audit retrains the model hundreds of times, so the _Engine below takes S
-parameter vectors at once, builds all their layer unitaries as staged
-Kronecker products whose gather indices also apply the CX chain, a
-permutation, and walks the observable back through them to the effective
-observables A_s with <Z> = psi^T A_s psi. Both depolarizing channels
-act there and only there, on the stacked A_s at the input end of the walk
-(_Engine.walk_back): the global channel as the scale 1 - p, each
+parameter vectors at once and gathers all their layer unitaries in one
+take from per-layer tables: every entry of an RY layer is a signed product
+of one cos or sin per qubit, and the gather index also applies the CX
+chain, a permutation. It then walks the observable back through them to
+the effective observables A_s with <Z> = psi^T A_s psi. Both depolarizing
+channels act there and only there, on the stacked A_s at the input end of
+the walk (_Engine.walk_back): the global channel as the scale 1 - p, each
 per-qubit channel as an exact real gather. Shots are a readout effect,
 not a channel, and are drawn from the exact <Z> afterwards. Evaluation
 reads every state through A, and an audit block reads all its models
@@ -21,9 +22,10 @@ and adds one walk forward from the data, so its cost does not grow with
 the parameter count, and one step advances all S models: model s sees
 only its own slice of every stacked matmul, so a stack trains each model
 to the same bits as training it alone, and a single model is the S = 1
-case. RY encodings, RY, CX and Z are all real, so everything runs in
-float64. The circuits module is the reference these paths are tested
-against.
+case. A training run allocates its step's large arrays once, and every
+step writes into them. RY encodings, RY, CX and Z are all real, so
+everything runs in float64. The circuits module is the reference these
+paths are tested against.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ class _Engine:
         # (-1)^(bit_q(i) + bit_q(j)), the signs Z_q puts on entry (i, j)
         self.parity = self.sign[:, :, None] * self.sign[:, None, :]
         self.obs = np.diag(-self.sign[0])  # the readout, Z on qubit 0
-        self.stages = self._kron_stages(self._cx_columns())
+        self.gather = self._table_index(self._cx_columns())
 
     def _cx_columns(self) -> np.ndarray:
         """The linear CX chain as a permutation: it maps basis state j to
@@ -118,45 +120,46 @@ class _Engine:
             cols = cols ^ (control << (n - 2 - q))
         return cols
 
-    def _kron_stages(self, chain_cols: np.ndarray) -> list:
-        """Flat gather indices for the staged Kronecker product of a layer's
-        RY matrices, ((R_0 x R_1) x R_2) x ..., qubit 0 most significant.
+    def _table_index(self, chain_cols: np.ndarray) -> np.ndarray:
+        """(L, dim, dim) flat indices into a model's (L, 2 dim) layer table.
 
-        Stage q reads entry ((a, x), j) of P x R_q as P[a, col >> 1] *
-        R_q[x, col & 1], with P the product so far and col = j, except in
-        the last stage of every layer after the first, where col =
-        chain_cols[j] folds the CX chain before the layer into the gather.
-        Indices run over all reps + 1 layers of one model at once.
+        Entry (i, c) of the Kronecker product of a layer's RY matrices,
+        qubit 0 most significant, is the product over qubits of cos where
+        bits i_q and c_q agree and sin where they differ, negated once for
+        every qubit with i_q = 0 and c_q = 1 (the -sin of RY). So it is
+        table[pattern] or table[dim + pattern], pattern = i ^ c. Column j of
+        every layer after the first reads column c = chain_cols[j], which
+        folds the CX chain before the layer into the gather.
         """
-        L, stages = self.reps + 1, []
-        for q in range(1, self.n):
-            d = 2**q
-            cols = np.tile(np.arange(2 * d), (L, 1))
-            if q == self.n - 1:
-                cols[1:] = chain_cols
-            rows = np.arange(2 * d)[None, :, None]
-            layer = np.arange(L)[:, None, None]
-            stages.append(((layer * d + (rows >> 1)) * d + (cols >> 1)[:, None, :],
-                           (layer * 2 + (rows & 1)) * 2 + (cols & 1)[:, None, :]))
-        return stages
+        L, dim = self.reps + 1, self.dim
+        cols = np.tile(np.arange(dim), (L, 1))
+        cols[1:] = chain_cols
+        rows, cols = np.arange(dim)[:, None], cols[:, None, :]
+        minus_sin = ~rows & cols
+        negated = sum((minus_sin >> q) & 1 for q in range(self.n)) & 1
+        return (np.arange(L)[:, None, None] * 2 + negated) * dim + (rows ^ cols)
 
-    def layers(self, theta: np.ndarray) -> np.ndarray:
+    def layers(self, theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(S, P) parameter vectors -> (S, reps + 1, dim, dim): per model,
         the first RY layer, then each later RY layer times the CX chain
-        before it. Every entry is one product of RY entries, so the stack
-        equals the np.kron reference, chain matmul included, bit for bit."""
+        before it, written to out when given.
+
+        Each layer's table holds its dim products of one cos or sin per
+        qubit, multiplied in qubit order as np.kron multiplies them, and
+        their negations. One gather through _table_index then places every
+        entry, chain included. Negation is exact, so every entry has the
+        bits of the np.kron reference, signed zeros included.
+        """
         S, L = theta.shape[0], self.reps + 1
-        half = np.reshape(theta, (S, L, self.n)).transpose(0, 2, 1) / 2.0
-        c, s = np.cos(half), np.sin(half)
-        ry = np.stack([c, -s, s, c], axis=-1)  # (S, n, L, 4): each RY row-major
-        out = ry[:, 0]
-        for q, (p_idx, r_idx) in enumerate(self.stages, start=1):
-            # in place: one less full-size temporary keeps the allocator
-            # from returning and refaulting pages on every training step
-            stage = np.take(out.reshape(S, -1), p_idx, axis=1)
-            stage *= np.take(ry[:, q].reshape(S, -1), r_idx, axis=1)
-            out = stage
-        return out.reshape(S, L, self.dim, self.dim)
+        half = np.reshape(theta, (S, L, self.n)) / 2.0
+        factors = np.stack([np.cos(half), np.sin(half)], axis=-1)  # (S, L, n, 2)
+        products = factors[:, :, 0]
+        for q in range(1, self.n):
+            products = (products[..., :, None] * factors[:, :, q, None, :]).reshape(S, L, -1)
+        table = np.concatenate([products, -products], axis=-1).reshape(S, -1)
+        # the indices are in range by construction; mode="clip" writes
+        # straight into out, where "raise" would fill a copy first
+        return np.take(table, self.gather, axis=1, out=out, mode="clip")
 
     def walk_back(self, layers: np.ndarray, noise: NoiseSpec):
         """The readout walked back through each model's ansatz, last layer first.
@@ -281,10 +284,11 @@ def _observables(spec: ModelSpec, params: np.ndarray, noise: NoiseSpec) -> np.nd
     return A
 
 
-def _read_z(A: np.ndarray, states: np.ndarray) -> np.ndarray:
+def _read_z(A: np.ndarray, states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """z[s, b] = psi^T A_s psi for every column psi of states[s]:
-    (S, dim, dim) observables and (S, dim, B) states -> (S, B)."""
-    return np.einsum("sib,sib->sb", states, A @ states)
+    (S, dim, dim) observables and (S, dim, B) states -> (S, B). A psi goes
+    to out when given, an (S, dim, B) scratch buffer."""
+    return np.einsum("sib,sib->sb", states, np.matmul(A, states, out=out))
 
 
 def _read_losses(A: np.ndarray, noise: NoiseSpec, states, labels,
@@ -329,26 +333,24 @@ def loss_gradient(spec: ModelSpec, params: np.ndarray, states, labels) -> np.nda
     """Exact gradient of mean_loss, by the adjoint method and the chain rule.
 
     One walk back from the readout and one walk forward from the data,
-    whatever the parameter count (see _gd_step_values).
+    whatever the parameter count (see _GradientStep).
     """
     theta = np.asarray(params, dtype=float).reshape(1, -1)
     labels = _binary_labels(_batch_labels(states, labels))[None]
     states_T = _stack_states(states, spec.dim)
-    _, grad = _gd_step_values(_engine_for(spec), theta, states_T[None], labels,
-                              NoiseSpec.none())
+    _, grad = _GradientStep(_engine_for(spec), states_T[None], labels, NoiseSpec.none())(theta)
     return grad[0]
 
 
-def _gd_step_values(engine: _Engine, theta: np.ndarray, states: np.ndarray,
-                    labels: np.ndarray, noise: NoiseSpec):
+class _GradientStep:
     """One epoch's (mean loss, gradient) for each of S models, by the adjoint method.
 
-    theta is (S, P), states the real (S, dim, B) and labels (S, B); returns
-    the (S,) losses and the (S, P) gradients. The loss reads <Z> through
-    the observable walk_back gives under noise, so a global channel acts
-    on it; the circuit derivative dz/dtheta stays noiseless by contract,
-    so the gradient is 0.5 * mean_b(dL/dp_b * dz_b/dtheta) (Jones & Gacon,
-    arXiv:2009.02823).
+    states is the real (S, dim, B) and labels (S, B); a call takes the
+    (S, P) theta and returns the (S,) losses and the (S, P) gradients. The
+    loss reads <Z> through the observable walk_back gives under noise, so a
+    global channel acts on it; the circuit derivative dz/dtheta stays
+    noiseless by contract, so the gradient is 0.5 * mean_b(dL/dp_b *
+    dz_b/dtheta) (Jones & Gacon, arXiv:2009.02823).
 
     The walk back from the readout gives A_l, the noiseless observable
     seen just after RY layer l, and z_b = psi_b^T A psi_b. The data then
@@ -358,20 +360,39 @@ def _gd_step_values(engine: _Engine, theta: np.ndarray, states: np.ndarray,
     G_q = -iY_q/2 a real matrix, so that slot's entry is
     2 tr(A_l G_q S_l). Every product is a real stacked matmul, one GEMM
     per model.
+
+    The step's large arrays are allocated once, here, and every call
+    writes into them. Freed and allocated again on every step, arrays this
+    large go back to the OS and fault in anew each time: hundreds of minor
+    page faults a step for an audit block of 32 models on 116 states.
     """
-    layers = engine.layers(theta)
-    after, A = engine.walk_back(layers, noise)
-    p = _probs_from_z(_read_z(A, states))
-    dldp = -labels / p + (1.0 - labels) / (1.0 - p)
-    weighted = states * (0.5 * dldp / labels.shape[-1])[:, None, :]
-    S = weighted @ states.transpose(0, 2, 1)
-    # tr(A G S) = tr(G M) with M = S A
-    M = np.empty(layers.shape)
-    for layer in range(layers.shape[1]):
-        V = layers[:, layer]
-        S = V @ S @ V.transpose(0, 2, 1)
-        np.matmul(S, after[layer], out=M[:, layer])
-    return _bce(p, labels).mean(axis=-1), engine.generator_traces(M)
+
+    def __init__(self, engine: _Engine, states: np.ndarray, labels: np.ndarray,
+                 noise: NoiseSpec):
+        S, dim, _ = states.shape
+        self.engine, self.states, self.labels, self.noise = engine, states, labels, noise
+        self.layers = np.empty((S, engine.reps + 1, dim, dim))
+        self.M = np.empty_like(self.layers)
+        self.per_state = np.empty(states.shape)  # A psi, then the weighted states
+        self.C = np.empty((S, dim, dim))
+        self.VC = np.empty_like(self.C)
+
+    def __call__(self, theta: np.ndarray):
+        engine, states, labels, C, VC = self.engine, self.states, self.labels, self.C, self.VC
+        layers = engine.layers(theta, out=self.layers)
+        after, A = engine.walk_back(layers, self.noise)
+        p = _probs_from_z(_read_z(A, states, out=self.per_state))
+        dldp = -labels / p + (1.0 - labels) / (1.0 - p)
+        weighted = np.multiply(states, (0.5 * dldp / labels.shape[-1])[:, None, :],
+                               out=self.per_state)
+        np.matmul(weighted, states.transpose(0, 2, 1), out=C)
+        # tr(A G S) = tr(G M) with M = S A
+        for layer in range(layers.shape[1]):
+            V = layers[:, layer]
+            np.matmul(V, C, out=VC)
+            np.matmul(VC, V.transpose(0, 2, 1), out=C)
+            np.matmul(C, after[layer], out=self.M[:, layer])
+        return _bce(p, labels).mean(axis=-1), engine.generator_traces(self.M)
 
 
 def train(states, labels, spec: ModelSpec, cfg: TrainConfig) -> TrainedModel:
@@ -406,9 +427,10 @@ def _train_stack(states: np.ndarray, labels: np.ndarray, spec: ModelSpec,
     theta = np.stack([np.random.default_rng(seed).uniform(-0.1, 0.1, spec.param_count)
                       for seed in seeds])
 
+    step = _GradientStep(engine, states, labels, spec.noise)
     log = np.empty((len(seeds), cfg.epochs))
     for epoch in range(cfg.epochs):
-        log[:, epoch], grad = _gd_step_values(engine, theta, states, labels, spec.noise)
+        log[:, epoch], grad = step(theta)
         theta = theta - cfg.learning_rate * grad
 
     return [TrainedModel(spec=spec, params=t, train_log=l) for t, l in zip(theta, log)]

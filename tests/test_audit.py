@@ -411,6 +411,23 @@ def test_audit_does_not_depend_on_block_size(dataset, monkeypatch, noise):
         assert np.array_equal(y_row, default.trials.y[i])
 
 
+def test_audit_across_full_blocks_does_not_depend_on_block_size(dataset, monkeypatch):
+    # one full default block and a short one of 8 (n = 40 at TRIAL_BLOCK =
+    # 32); shot draws depend on stream order, so they show any trial read
+    # from another trial's stream or out of turn
+    audit_module = importlib.import_module("qcanary.audit")
+    cfg = small_config(n=audit_module.TRIAL_BLOCK + 8, noise=NoiseSpec.measurement(400))
+    default = qc.audit(cfg, dataset)
+    for block in (1, 7):
+        monkeypatch.setattr(audit_module, "TRIAL_BLOCK", block)
+        for workers in (1, 2):
+            report = qc.audit(cfg, dataset, workers=workers)
+            assert np.array_equal(report.trials.x, default.trials.x), (block, workers)
+            assert np.array_equal(report.trials.y, default.trials.y), (block, workers)
+            assert report.kappa == default.kappa
+            assert report.estimate == default.estimate
+
+
 def test_per_qubit_audit_does_not_depend_on_block_size(dataset, monkeypatch):
     # a block reads all its observables from one walk with the per-qubit
     # channel inside; any block size or worker count must give the same bits

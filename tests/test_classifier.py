@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from qcanary.classifier import (_engine_for, _observables, _stack_states, _train
                                 loss_gradient, mean_loss)
 from qcanary.circuits import (Gate, _gate_unitary, apply_circuit_density, build_real_amplitudes,
                               expectation, parameter_shift_gradient, z_on_qubit)
+from qcanary.encoding import _encode_rows
 from qcanary.noise import _depolarize_qubit_mat
 from qcanary.states import pure_to_density
 
@@ -234,6 +236,25 @@ def test_stacked_training_matches_one_model_at_a_time(rng, noise):
             assert np.array_equal(stacked[s].train_log, alone.train_log), (S, s)
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt counts minor faults on Linux")
+def test_stacked_training_does_not_refault_its_step_buffers(rng):
+    # an audit block's stack: 32 models on 116 states each. Arrays this
+    # large, freed and allocated again on every step, go back to the OS and
+    # fault in anew each time, hundreds of minor faults per epoch; the
+    # step's buffers live for the whole call instead
+    import resource
+
+    spec, cfg, S, B = ModelSpec(qubits=4, ansatz_reps=3), TrainConfig(epochs=100), 32, 116
+    rows = _encode_rows(rng.uniform(0, 1, size=(S * B, spec.qubits)))
+    states = np.ascontiguousarray(rows.reshape(S, B, spec.dim).transpose(0, 2, 1))
+    labels = rng.integers(0, 2, size=(S, B)).astype(float)
+    _train_stack(states, labels, spec, cfg, range(S))  # warm-up
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _train_stack(states, labels, spec, cfg, range(S))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 50 * cfg.epochs, faults
+
+
 def test_engine_layers_match_kron_reference(rng):
     # per layer the Kronecker product of the RY matrices, qubit 0 most
     # significant, times the CX chain before it; the engine gathers where
@@ -243,15 +264,24 @@ def test_engine_layers_match_kron_reference(rng):
         chain = np.eye(2**qubits)
         for q in range(qubits - 1):
             chain = _gate_unitary(Gate("CX", (q, q + 1)), circuit, np.zeros(0)).real @ chain
-        theta = rng.uniform(-np.pi, np.pi, size=(3, (reps + 1) * qubits))
+        # the chain is a permutation matrix, so times it is a column gather;
+        # the matmul also adds +0.0 to every entry, which drops a zero's sign
+        perm = chain.argmax(axis=0)
+        assert np.array_equal(np.eye(2**qubits)[:, perm], chain)
+        P = (reps + 1) * qubits
+        # exact zeros give sin 0 = 0 and with it signed zeros; +-pi give
+        # cos +-pi/2, the nearest float to 0, and sin at its extremes
+        theta = np.vstack([rng.uniform(-np.pi, np.pi, size=(3, P)), np.zeros(P),
+                           rng.choice([0.0, np.pi, -np.pi], size=(2, P))])
         got = _engine_for(ModelSpec(qubits=qubits, ansatz_reps=reps)).layers(theta)
-        for s, layer in itertools.product(range(3), range(reps + 1)):
+        for s, layer in itertools.product(range(len(theta)), range(reps + 1)):
             want = np.ones((1, 1))
             for angle in theta[s, layer * qubits:(layer + 1) * qubits]:
                 c, si = np.cos(angle / 2.0), np.sin(angle / 2.0)
                 want = np.kron(want, np.array([[c, -si], [si, c]]))
             if layer > 0:
-                want = want @ chain
+                assert np.array_equal(want @ chain, want[:, perm])
+                want = want[:, perm]
             assert np.array_equal(got[s, layer].view(np.int64), want.view(np.int64)), \
                 (qubits, reps, s, layer)
 
