@@ -21,7 +21,7 @@ and finite-shot mechanisms are computed alongside so the two directions
 can be compared.
 
 Trials are independent and keyed by (master seed, trial index). They run
-in blocks of TRIAL_BLOCK consecutive trials: every trial of a block draws
+in blocks of at most TRIAL_BLOCK consecutive trials: every trial of a block draws
 its canaries, offsets and initialization from its own stream, the block's
 models train as one stack, their observables under the evaluation noise
 come from one walk back, and each trial then evaluates from its own
@@ -58,11 +58,15 @@ MU_FLOOR = 1e-3
 # Ramdas suggest c in {1/2, 3/4}; on the synthetic harness 3/4 certifies
 # much smaller rate gaps than 1/2 at n = 64 (power table in CHANGES.md)
 BET_CLIP = 0.75
-# consecutive trials whose models train in one stack; a block is also the
-# unit of work handed to a pool worker. A larger stack spreads each step's
-# per-call overhead over more models; above 32 the gain flattens, while
-# the step's buffers and the block's arrays grow with the block
+# consecutive trials whose models train in one stack. A larger stack
+# spreads each step's per-call overhead over more models; above 32 the gain
+# flattens, while the step's buffers and the block's arrays grow with the
+# block
 TRIAL_BLOCK = 32
+# a block is also the unit of work handed to a pool worker, so a pooled
+# audit cuts its trials into one block per worker, though never into
+# blocks smaller than this, where per-call overhead dominates
+_MIN_POOL_BLOCK = 8
 
 
 class DomainError(ValueError):
@@ -612,8 +616,9 @@ def audit(config: AuditConfig, dataset: Dataset, workers: int = 1) -> AuditRepor
         kappa, mu_est = _calibration(dataset, config, base_states)
     t1 = time.perf_counter()
 
-    blocks = [range(start, min(start + TRIAL_BLOCK, config.n))
-              for start in range(0, config.n, TRIAL_BLOCK)]
+    block = min(TRIAL_BLOCK, max(_MIN_POOL_BLOCK, -(-config.n // max(workers, 1))))
+    blocks = [range(start, min(start + block, config.n))
+              for start in range(0, config.n, block)]
     run_block = partial(_run_block, config=config, dataset=dataset, kappa=kappa,
                         base_states=base_states)
     if workers > 1:

@@ -507,6 +507,34 @@ def test_pool_starts_no_more_workers_than_blocks(dataset, monkeypatch):
     assert np.array_equal(serial.trials.y, pooled.trials.y)
 
 
+def test_pool_gives_every_worker_a_block(dataset, monkeypatch):
+    # 32 trials fill one default block, which a pool must still split so
+    # that four workers run at once; no block falls below eight trials
+    audit_module = importlib.import_module("qcanary.audit")
+    started, sizes = [], []
+
+    class RecordingPool(audit_module.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+        def map(self, fn, blocks):
+            blocks = list(blocks)
+            sizes.extend(len(block) for block in blocks)
+            return super().map(fn, blocks)
+
+    monkeypatch.setattr(audit_module, "ProcessPoolExecutor", RecordingPool)
+    cfg = small_config(n=32)
+    serial = qc.audit(cfg, dataset)
+    pooled = qc.audit(cfg, dataset, workers=4)
+    qc.audit(cfg, dataset, workers=8)
+    assert started == [4, 4]
+    assert sizes == [8] * 8
+    assert np.array_equal(serial.trials.x, pooled.trials.x)
+    assert np.array_equal(serial.trials.y, pooled.trials.y)
+    assert serial.estimate == pooled.estimate
+
+
 def test_fully_private_oracle_audits_to_zero(dataset):
     cfg = small_config(noise=NoiseSpec.depolarizing(1.0))
     report = qc.audit(cfg, dataset)
