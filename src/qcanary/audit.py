@@ -24,10 +24,11 @@ Trials are independent and keyed by (master seed, trial index). They run
 in blocks of at most TRIAL_BLOCK consecutive trials: every trial of a block draws
 its canaries, offsets and initialization from its own stream, the block's
 models train as one stack, their observables under the evaluation noise
-come from one walk back, and each trial then evaluates from its own
-stream again. A stacked model trains and reads out to the same bits as a
-lone one, so block size, order and process placement leave every output
-bit unchanged.
+come from one walk back, all of them read their canaries in one stack,
+and under shots each trial then draws from its own stream again. A
+stacked model trains and reads out to the same bits as a lone one, so
+block size, order and process placement leave every output bit
+unchanged. A pooled audit runs its first blocks in the calling process.
 """
 
 from __future__ import annotations
@@ -423,11 +424,20 @@ def generate_canaries(dataset: Dataset, count: int, rng: np.random.Generator):
     Features draw from N(mean_j, std_j^2) and are clamped to the unit
     interval; labels are fair coin flips. Returns (features, labels).
     """
+    return _sample_canaries(_canary_fit(dataset), count, rng)
+
+
+def _canary_fit(dataset: Dataset):
+    """The per-feature (mean, std) that generate_canaries draws from."""
     if dataset.size == 0:
         raise ValueError("cannot fit canaries to an empty dataset")
-    mu = dataset.features.mean(axis=0)
-    sd = dataset.features.std(axis=0)
-    feats = np.clip(rng.normal(mu, sd, size=(count, dataset.feature_count)), 0.0, 1.0)
+    return dataset.features.mean(axis=0), dataset.features.std(axis=0)
+
+
+def _sample_canaries(fit, count: int, rng: np.random.Generator):
+    """generate_canaries from a _canary_fit computed once."""
+    mu, sd = fit
+    feats = np.clip(rng.normal(mu, sd, size=(count, mu.size)), 0.0, 1.0)
     labels = rng.integers(0, 2, size=count)
     return feats, labels
 
@@ -457,15 +467,15 @@ def run_trial(trial_index: int, config: AuditConfig, dataset: Dataset):
     return x_row, y_row
 
 
-def _draw_canaries(dataset: Dataset, config: AuditConfig, count: int,
-                   rng: np.random.Generator):
-    """count canaries and their encoding offsets, drawn from rng in that
-    order: (features, labels, offsets), one offset row per canary.
+def _draw_canaries(fit, config: AuditConfig, count: int, rng: np.random.Generator):
+    """count canaries from the dataset's _canary_fit and their encoding
+    offsets, drawn from rng in that order: (features, labels, offsets),
+    one offset row per canary.
 
     Adjacency is guaranteed by clipping; refuse to continue if it ever
     fails, since epsilon_hat is meaningless without it.
     """
-    feats, labels = generate_canaries(dataset, count, rng)
+    feats, labels = _sample_canaries(fit, count, rng)
     offsets = sample_offsets(OffsetSpec(config.d, config.delta_conf), feats.shape, rng)
     worst = np.abs(np.sin(offsets / 2.0)).max()
     if not worst <= config.d + 1e-12:  # NaN fails too
@@ -485,10 +495,10 @@ def _run_block(indices: range, config: AuditConfig, dataset: Dataset,
     # last K unseen) and initialization, from its own stream in the order
     # of a lone trial. The initialization depends on the trial seed alone,
     # never on which canaries are seen, and the trial's reference shares it
-    rngs, draws, init_seeds = [], [], []
+    fit, rngs, draws, init_seeds = _canary_fit(dataset), [], [], []
     for index in indices:
         rng = np.random.default_rng(_trial_seed_seq(config, index))
-        draws.append(_draw_canaries(dataset, config, 2 * K, rng))
+        draws.append(_draw_canaries(fit, config, 2 * K, rng))
         init_seeds.append(int(rng.integers(2**63)))
         rngs.append(rng)
     T = len(rngs)
@@ -524,14 +534,17 @@ def _evaluate_block(config: AuditConfig, models: list, states: np.ndarray,
                     labels: np.ndarray, rngs) -> list:
     """Each trial t's losses on its states[t] under config.noise: model t's,
     then model T + t's when models holds references after the T audited
-    models. All observables come from one walk back, and each trial reads
-    with its own rng, so every loss and every shot draw equals
-    evaluate_losses on that model alone."""
-    T, noise = len(rngs), config.noise
+    models. All observables come from one walk back and every model reads
+    in one stack; under shots each trial draws from its own rng, model t
+    first, so every loss and every shot draw equals evaluate_losses on
+    that model alone."""
+    T, S, noise = len(rngs), len(models), config.noise
     A = _observables(config.model, np.stack([m.params for m in models]), noise)
-    return [[_read_losses(A[i:i + 1], noise, states[t], labels[t], rng)
-             for i in range(t, len(models), T)]
-            for t, rng in enumerate(rngs)]
+    reads = np.arange(S) % T  # the trial whose canaries model i reads
+    stacked = np.ascontiguousarray(states.transpose(0, 2, 1))[reads]
+    draws = [(i, rng) for t, rng in enumerate(rngs) for i in range(t, S, T)]
+    losses = _read_losses(A, noise, stacked, labels[reads], draws)
+    return [list(losses[t::T]) for t in range(T)]
 
 
 def _calibration(dataset: Dataset, config: AuditConfig,
@@ -551,7 +564,8 @@ def _calibration(dataset: Dataset, config: AuditConfig,
     tcfg = replace(config.train, seed=init_seed)
     reference = train(base_states, dataset.labels, config.model, tcfg)
 
-    feats, labels, offsets = _draw_canaries(dataset, config, CALIBRATION_CANARIES, rng)
+    feats, labels, offsets = _draw_canaries(_canary_fit(dataset), config,
+                                            CALIBRATION_CANARIES, rng)
     states = _encode_rows(feats, offsets)
 
     losses = evaluate_losses(eval_model(reference, config.noise), states, labels, rng)
@@ -621,11 +635,16 @@ def audit(config: AuditConfig, dataset: Dataset, workers: int = 1) -> AuditRepor
               for start in range(0, config.n, block)]
     run_block = partial(_run_block, config=config, dataset=dataset, kappa=kappa,
                         base_states=base_states)
-    if workers > 1:
-        # the fork context starts every worker at once, so start no more
-        # than there are blocks to hand out
-        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            done = list(pool.map(run_block, blocks))
+    if workers > 1 and len(blocks) > 1:
+        # the calling process runs the first blocks, an equal share, while
+        # the pool runs the rest, so one worker fewer starts cold; the fork
+        # context starts every worker at once, so start no more than there
+        # are blocks to hand out
+        busy = min(workers, len(blocks))
+        share = len(blocks) // busy
+        with ProcessPoolExecutor(max_workers=busy - 1) as pool:
+            rest = pool.map(run_block, blocks[share:])
+            done = [run_block(block) for block in blocks[:share]] + list(rest)
     else:
         done = [run_block(block) for block in blocks]
     rows = (row for block_rows in done for row in block_rows)

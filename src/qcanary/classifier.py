@@ -22,8 +22,9 @@ and adds one walk forward from the data, so its cost does not grow with
 the parameter count, and one step advances all S models: model s sees
 only its own slice of every stacked matmul, so a stack trains each model
 to the same bits as training it alone, and a single model is the S = 1
-case. A training run allocates its step's large arrays once, and every
-step writes into them. RY encodings, RY, CX and Z are all real, so
+case. A training run allocates the arrays an epoch writes once, the walk
+back's observables included; only the layer table's small temporaries
+are made anew each epoch. RY encodings, RY, CX and Z are all real, so
 everything runs in float64. The circuits module is the reference these
 paths are tested against.
 """
@@ -110,6 +111,11 @@ class _Engine:
         self.parity = self.sign[:, :, None] * self.sign[:, None, :]
         self.obs = np.diag(-self.sign[0])  # the readout, Z on qubit 0
         self.gather = self._table_index(self._cx_columns())
+        # generator_traces' entry (j, l, q) is sign_q[j] M_l[flip_q[j], j]:
+        # its flat offset in one model's (L, dim, dim) stack
+        L = reps + 1
+        self.trace_offsets = ((np.arange(L)[:, None] * self.dim + self.flip.T[:, None, :])
+                              * self.dim + idx[:, None, None])
 
     def _cx_columns(self) -> np.ndarray:
         """The linear CX chain as a permutation: it maps basis state j to
@@ -146,22 +152,27 @@ class _Engine:
 
         Each layer's table holds its dim products of one cos or sin per
         qubit, multiplied in qubit order as np.kron multiplies them, and
-        their negations. One gather through _table_index then places every
-        entry, chain included. Negation is exact, so every entry has the
-        bits of the np.kron reference, signed zeros included.
+        their negations. The products run with the (model, layer) axis
+        innermost, so every multiply has long inner loops, and one
+        transposed copy lays them out per model. One gather through
+        _table_index then places every entry, chain included. Negation is
+        exact, so every entry has the bits of the np.kron reference, signed
+        zeros included.
         """
-        S, L = theta.shape[0], self.reps + 1
-        half = np.reshape(theta, (S, L, self.n)) / 2.0
-        factors = np.stack([np.cos(half), np.sin(half)], axis=-1)  # (S, L, n, 2)
-        products = factors[:, :, 0]
-        for q in range(1, self.n):
-            products = (products[..., :, None] * factors[:, :, q, None, :]).reshape(S, L, -1)
-        table = np.concatenate([products, -products], axis=-1).reshape(S, -1)
+        S, L, n, dim = theta.shape[0], self.reps + 1, self.n, self.dim
+        half = np.reshape(theta, (S, L, n)) / 2.0
+        factors = np.stack([np.cos(half), np.sin(half)]).reshape(2, S * L, n)
+        products = factors[..., 0]  # (2**(q + 1), S L) after qubit q
+        for q in range(1, n):
+            products = (products[:, None] * factors[None, ..., q]).reshape(-1, S * L)
+        table = np.empty((S, L, 2, dim))
+        table[:, :, 0] = products.T.reshape(S, L, dim)
+        np.negative(table[:, :, 0], out=table[:, :, 1])
         # the indices are in range by construction; mode="clip" writes
         # straight into out, where "raise" would fill a copy first
-        return np.take(table, self.gather, axis=1, out=out, mode="clip")
+        return np.take(table.reshape(S, -1), self.gather, axis=1, out=out, mode="clip")
 
-    def walk_back(self, layers: np.ndarray, noise: NoiseSpec):
+    def walk_back(self, layers: np.ndarray, noise: NoiseSpec, out: np.ndarray | None = None):
         """The readout walked back through each model's ansatz, last layer first.
 
         Returns (after, A): after[l] is the observable the states see just
@@ -173,16 +184,22 @@ class _Engine:
         The global channel's adjoint is (1 - p) A, as Z is traceless; a
         per-qubit channel is a Pauli channel, its own adjoint. after stays
         noiseless, and with it the circuit derivative of a training step.
+
+        out, an (L + 1, S, dim, dim) buffer, is allocated when not given:
+        out[l] receives the observable seen just before layer l, so after[l]
+        is out[l + 1] below the last layer and A is out[0], and out[L] holds
+        each V^T A on its way.
         """
-        L = layers.shape[1]
-        after = [None] * L
-        A = self.obs
+        S, L, dim = layers.shape[:3]
+        if out is None:
+            out = np.empty((L + 1, S, dim, dim))
+        after, A = [None] * L, self.obs
         for layer in range(L - 1, -1, -1):
             after[layer] = A
             V = layers[:, layer]
-            A = V.transpose(0, 2, 1) @ A @ V
+            A = np.matmul(np.matmul(V.transpose(0, 2, 1), A, out=out[L]), V, out=out[layer])
         if noise.kind == "depolarizing" and noise.scope == "global":
-            A = (1.0 - noise.p) * A
+            A = np.multiply(1.0 - noise.p, A, out=A)
         elif noise.kind == "depolarizing":
             for q in range(self.n):
                 A = self.depolarize_qubit(A, q, noise.p)
@@ -201,11 +218,28 @@ class _Engine:
         flipped = A[:, f[:, None], f]
         return (1.0 - p) * A + w * flipped + w * (signs * flipped) + w * (signs * A)
 
-    def generator_traces(self, M: np.ndarray) -> np.ndarray:
+    def trace_buffers(self, S: int) -> tuple:
+        """generator_traces' arrays for S models: the (dim, S, L, n) flat
+        indices of its gather into an (S, L, dim, dim) stack, the entries'
+        signs in full so they apply in one contiguous pass, the gather's
+        buffer and the (S, P) traces."""
+        dim, (L, n) = self.dim, self.trace_offsets.shape[1:]
+        index = self.trace_offsets[:, None] + L * dim * dim * np.arange(S)[:, None, None]
+        signs = np.broadcast_to(self.sign.T[:, None, None, :], index.shape).copy()
+        return index, signs, np.empty(index.shape), np.empty((S, L * n))
+
+    def generator_traces(self, M: np.ndarray, out: tuple | None = None) -> np.ndarray:
         """2 tr(G_q M_l) for every layer l and qubit q, in slot order, as a
-        signed gather over the real (S, layers, dim, dim) stack M -> (S, P)."""
-        traces = (self.sign * M[..., self.flip, self.cols]).sum(axis=-1)
-        return traces.reshape(M.shape[0], -1)
+        signed gather over the real (S, layers, dim, dim) stack M -> (S, P).
+
+        out is the trace_buffers of M's stack, made here when not given.
+        The gather puts the generator column j outermost, so the sum over
+        j adds whole (S, L, n) slices in column order."""
+        index, signs, gathered, traces = self.trace_buffers(M.shape[0]) if out is None else out
+        np.take(M, index, out=gathered, mode="clip")
+        np.multiply(gathered, signs, out=gathered)
+        np.add.reduce(gathered, axis=0, out=traces.reshape(gathered.shape[1:]))
+        return traces
 
 
 _engine_cache: dict = {}
@@ -241,12 +275,25 @@ def _stack_states(states, dim: int) -> np.ndarray:
     return np.ascontiguousarray(block, dtype=float)
 
 
-def _probs_from_z(z: np.ndarray) -> np.ndarray:
-    return np.clip((1.0 + z) / 2.0, P_CLAMP, 1.0 - P_CLAMP)
+def _probs_from_z(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    p = np.divide(np.add(1.0, z, out=out), 2.0, out=out)
+    return np.clip(p, P_CLAMP, 1.0 - P_CLAMP, out=out)
+
+
+def _label_probs(p: np.ndarray, label_one: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """q, the probability p gives each label: p where label_one, else 1 - p."""
+    q = np.subtract(1.0, p, out=out)
+    np.copyto(q, p, where=label_one)
+    return q
 
 
 def _bce(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    return -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
+    """Binary cross-entropy -ln q, q = _label_probs, against {0, 1} labels.
+
+    This is -(labels ln p + (1 - labels) ln(1 - p)) to the bit: p is
+    clamped away from 0 and 1, so the term a label drops is a signed zero
+    added to a nonzero log, which is exact."""
+    return -np.log(_label_probs(p, labels == 1.0))
 
 
 def _binary_labels(labels) -> np.ndarray:
@@ -284,26 +331,30 @@ def _observables(spec: ModelSpec, params: np.ndarray, noise: NoiseSpec) -> np.nd
     return A
 
 
-def _read_z(A: np.ndarray, states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _read_z(A: np.ndarray, states: np.ndarray, scratch: np.ndarray | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
     """z[s, b] = psi^T A_s psi for every column psi of states[s]:
-    (S, dim, dim) observables and (S, dim, B) states -> (S, B). A psi goes
-    to out when given, an (S, dim, B) scratch buffer."""
-    return np.einsum("sib,sib->sb", states, np.matmul(A, states, out=out))
+    (S, dim, dim) observables and (S, dim, B) states -> (S, B), written
+    to out when given. A psi goes to scratch when given, an (S, dim, B)
+    buffer."""
+    return np.einsum("sib,sib->sb", states, np.matmul(A, states, out=scratch), out=out)
 
 
-def _read_losses(A: np.ndarray, noise: NoiseSpec, states, labels,
-                 rng: np.random.Generator | None) -> np.ndarray:
-    """evaluate_losses for the model whose observable under noise is A, a
-    (1, dim, dim) slice of an _observables stack. A already holds any
-    depolarizing channel; under shots, <Z> is drawn from rng. Binary labels
-    are left to the callers: evaluate_losses and mean_loss check them, the
-    audit generates its own."""
-    labels = _batch_labels(states, labels)
-    z = _read_z(A, _stack_states(states, A.shape[-1])[None])[0]
+def _read_losses(A: np.ndarray, noise: NoiseSpec, states: np.ndarray, labels: np.ndarray,
+                 draws=()) -> np.ndarray:
+    """Every model's losses, (S, B): model s, whose observable under noise
+    is A[s], reads the columns of states[s] against labels[s]. A already
+    holds any depolarizing channel. Under shots, <Z> of model s is drawn
+    from rng for each (s, rng) in draws, in that order, so a model read
+    in a stack draws what it draws read alone. The callers check the
+    labels: evaluate_losses and mean_loss check them, the audit generates
+    its own."""
+    z = _read_z(A, states)
     if noise.kind == "measurement_shots":
-        if rng is None:
-            raise ValueError("finite-shot evaluation needs an explicit rng")
-        z = _sample_z(z, noise.shots, rng)
+        for s, rng in draws:
+            if rng is None:
+                raise ValueError("finite-shot evaluation needs an explicit rng")
+            z[s] = _sample_z(z[s], noise.shots, rng)
     return _bce(_probs_from_z(z), labels)
 
 
@@ -317,16 +368,20 @@ def evaluate_losses(model: TrainedModel, states, labels,
 
     states is a sequence of encoded states or a (B, dim) array of
     amplitude rows."""
-    noise = model.spec.noise
-    return _read_losses(_observables(model.spec, model.params, noise), noise,
-                        states, _binary_labels(labels), rng)
+    spec = model.spec
+    labels = _batch_labels(states, _binary_labels(labels))
+    A = _observables(spec, model.params, spec.noise)
+    return _read_losses(A, spec.noise, _stack_states(states, spec.dim)[None], labels[None],
+                        [(0, rng)])[0]
 
 
 def mean_loss(spec: ModelSpec, params: np.ndarray, states, labels) -> float:
     """Noiseless exact-expectation mean loss, the quantity training descends."""
     clean = NoiseSpec.none()
-    return float(_read_losses(_observables(spec, np.asarray(params, dtype=float), clean),
-                              clean, states, _binary_labels(labels), None).mean())
+    labels = _batch_labels(states, _binary_labels(labels))
+    A = _observables(spec, np.asarray(params, dtype=float), clean)
+    return float(_read_losses(A, clean, _stack_states(states, spec.dim)[None],
+                              labels[None])[0].mean())
 
 
 def loss_gradient(spec: ModelSpec, params: np.ndarray, states, labels) -> np.ndarray:
@@ -361,30 +416,44 @@ class _GradientStep:
     2 tr(A_l G_q S_l). Every product is a real stacked matmul, one GEMM
     per model.
 
-    The step's large arrays are allocated once, here, and every call
-    writes into them. Freed and allocated again on every step, arrays this
-    large go back to the OS and fault in anew each time: hundreds of minor
-    page faults a step for an audit block of 32 models on 116 states.
+    The loss is -ln q, q the probability of the model's label (_bce), so
+    dL/dp is -1/q or 1/q. Every array an epoch writes, but the small
+    temporaries of _Engine.layers, is allocated once, here. Freed and
+    allocated again on every step, arrays this large go back to the OS
+    and fault in anew each time. The returned losses and gradients are
+    such buffers too, overwritten by the next call.
     """
 
     def __init__(self, engine: _Engine, states: np.ndarray, labels: np.ndarray,
                  noise: NoiseSpec):
-        S, dim, _ = states.shape
-        self.engine, self.states, self.labels, self.noise = engine, states, labels, noise
-        self.layers = np.empty((S, engine.reps + 1, dim, dim))
-        self.M = np.empty_like(self.layers)
+        S, dim, B = states.shape
+        L = engine.reps + 1
+        self.engine, self.states, self.noise = engine, states, noise
+        self.label_one = labels == 1.0
+        # 0.5 dL/dp = -0.5/q or 0.5/q, exactly 0.5 times -1/q or 1/q
+        self.half_sign = np.where(self.label_one, -0.5, 0.5)
+        self.layers = np.empty((S, L, dim, dim))
+        self.walked = np.empty((L + 1, S, dim, dim))
         self.per_state = np.empty(states.shape)  # A psi, then the weighted states
+        self.p, self.q, self.w = np.empty((3, S, B))
+        self.loss = np.empty(S)
         self.C = np.empty((S, dim, dim))
         self.VC = np.empty_like(self.C)
+        self.M = np.empty_like(self.layers)
+        self.traces = engine.trace_buffers(S)
 
     def __call__(self, theta: np.ndarray):
-        engine, states, labels, C, VC = self.engine, self.states, self.labels, self.C, self.VC
+        engine, states, C, VC = self.engine, self.states, self.C, self.VC
+        B = states.shape[-1]
         layers = engine.layers(theta, out=self.layers)
-        after, A = engine.walk_back(layers, self.noise)
-        p = _probs_from_z(_read_z(A, states, out=self.per_state))
-        dldp = -labels / p + (1.0 - labels) / (1.0 - p)
-        weighted = np.multiply(states, (0.5 * dldp / labels.shape[-1])[:, None, :],
-                               out=self.per_state)
+        after, A = engine.walk_back(layers, self.noise, out=self.walked)
+        p = _probs_from_z(_read_z(A, states, self.per_state, out=self.p), out=self.p)
+        q = _label_probs(p, self.label_one, out=self.q)
+        # the mean of -ln q, as the sum of ln q over -B
+        np.add.reduce(np.log(q, out=self.p), axis=-1, out=self.loss)
+        np.divide(self.loss, -B, out=self.loss)
+        w = np.divide(np.divide(self.half_sign, q, out=self.w), B, out=self.w)
+        weighted = np.multiply(states, w[:, None, :], out=self.per_state)
         np.matmul(weighted, states.transpose(0, 2, 1), out=C)
         # tr(A G S) = tr(G M) with M = S A
         for layer in range(layers.shape[1]):
@@ -392,7 +461,7 @@ class _GradientStep:
             np.matmul(V, C, out=VC)
             np.matmul(VC, V.transpose(0, 2, 1), out=C)
             np.matmul(C, after[layer], out=self.M[:, layer])
-        return _bce(p, labels).mean(axis=-1), engine.generator_traces(self.M)
+        return self.loss, engine.generator_traces(self.M, out=self.traces)
 
 
 def train(states, labels, spec: ModelSpec, cfg: TrainConfig) -> TrainedModel:

@@ -501,15 +501,16 @@ def test_pool_starts_no_more_workers_than_blocks(dataset, monkeypatch):
     monkeypatch.setattr(audit_module, "ProcessPoolExecutor", RecordingPool)
     serial = qc.audit(small_config(n=8), dataset)
     pooled = qc.audit(small_config(n=8), dataset, workers=4)
-    # one block of eight trials: the pool still runs it, in one worker
-    assert started == [1]
+    # one block of eight trials: the parent runs it, and starts no pool
+    assert started == []
     assert np.array_equal(serial.trials.x, pooled.trials.x)
     assert np.array_equal(serial.trials.y, pooled.trials.y)
 
 
 def test_pool_gives_every_worker_a_block(dataset, monkeypatch):
     # 32 trials fill one default block, which a pool must still split so
-    # that four workers run at once; no block falls below eight trials
+    # that four processes run at once, the parent and three workers; no
+    # block falls below eight trials
     audit_module = importlib.import_module("qcanary.audit")
     started, sizes = [], []
 
@@ -528,8 +529,8 @@ def test_pool_gives_every_worker_a_block(dataset, monkeypatch):
     serial = qc.audit(cfg, dataset)
     pooled = qc.audit(cfg, dataset, workers=4)
     qc.audit(cfg, dataset, workers=8)
-    assert started == [4, 4]
-    assert sizes == [8] * 8
+    assert started == [3, 3]
+    assert sizes == [8] * 6
     assert np.array_equal(serial.trials.x, pooled.trials.x)
     assert np.array_equal(serial.trials.y, pooled.trials.y)
     assert serial.estimate == pooled.estimate

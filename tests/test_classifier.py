@@ -9,8 +9,8 @@ import pytest
 
 import qcanary as qc
 from qcanary import ModelSpec, NoiseSpec, TrainConfig, TrainedModel
-from qcanary.classifier import (_engine_for, _observables, _stack_states, _train_stack,
-                                loss_gradient, mean_loss)
+from qcanary.classifier import (_engine_for, _GradientStep, _observables, _stack_states,
+                                _train_stack, loss_gradient, mean_loss)
 from qcanary.circuits import (Gate, _gate_unitary, apply_circuit_density, build_real_amplitudes,
                               expectation, parameter_shift_gradient, z_on_qubit)
 from qcanary.encoding import _encode_rows
@@ -237,6 +237,62 @@ def test_stacked_training_matches_one_model_at_a_time(rng, noise):
             assert np.array_equal(stacked[s].train_log, alone.train_log), (S, s)
 
 
+def _allocating_step(engine, states, labels, noise, theta):
+    """The gradient step as it was before it wrote into buffers: fresh
+    arrays at every stage, the layer products with the two-entry axis
+    innermost, the two-log loss and a fancy-index trace gather."""
+    S, L, n = theta.shape[0], engine.reps + 1, engine.n
+    half = np.reshape(theta, (S, L, n)) / 2.0
+    factors = np.stack([np.cos(half), np.sin(half)], axis=-1)
+    products = factors[:, :, 0]
+    for q in range(1, n):
+        products = (products[..., :, None] * factors[:, :, q, None, :]).reshape(S, L, -1)
+    table = np.concatenate([products, -products], axis=-1).reshape(S, -1)
+    layers = np.take(table, engine.gather, axis=1)
+    after, A = [None] * L, engine.obs
+    for layer in range(L - 1, -1, -1):
+        after[layer] = A
+        V = layers[:, layer]
+        A = V.transpose(0, 2, 1) @ A @ V
+    if noise.kind == "depolarizing":
+        A = (1.0 - noise.p) * A
+    z = np.einsum("sib,sib->sb", states, A @ states)
+    p = np.clip((1.0 + z) / 2.0, 1e-9, 1.0 - 1e-9)
+    dldp = -labels / p + (1.0 - labels) / (1.0 - p)
+    C = (states * (0.5 * dldp / labels.shape[-1])[:, None, :]) @ states.transpose(0, 2, 1)
+    M = np.empty_like(layers)
+    for layer in range(L):
+        V = layers[:, layer]
+        C = V @ C @ V.transpose(0, 2, 1)
+        M[:, layer] = C @ after[layer]
+    loss = -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
+    traces = (engine.sign * M[..., engine.flip, engine.cols]).sum(axis=-1)
+    return loss.mean(axis=-1), traces.reshape(S, -1)
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec.none(), NoiseSpec.depolarizing(0.3)])
+def test_gradient_step_matches_allocating_step_bit_for_bit(rng, noise):
+    # the step's buffers, its one-log loss, its layer table and its trace
+    # gather change no operation and no order, so losses and gradients
+    # keep every bit over a training run
+    for qubits, reps, S in itertools.product(range(1, 6), range(1, 4), (1, 3, 32)):
+        engine = _engine_for(ModelSpec(qubits=qubits, ansatz_reps=reps))
+        B = 7 if S == 32 else 13
+        rows = _encode_rows(rng.uniform(0, 1, size=(S * B, qubits)))
+        states = np.ascontiguousarray(rows.reshape(S, B, -1).transpose(0, 2, 1))
+        labels = rng.integers(0, 2, size=(S, B)).astype(float)
+        theta = rng.uniform(-0.5, 0.5, size=(S, (reps + 1) * qubits))
+        step = _GradientStep(engine, states, labels, noise)
+        for epoch in range(20):
+            loss, grad = step(theta)
+            want_loss, want_grad = _allocating_step(engine, states, labels, noise, theta)
+            assert np.array_equal(loss.view(np.int64), want_loss.view(np.int64)), \
+                (qubits, reps, S, epoch)
+            assert np.array_equal(grad.view(np.int64), want_grad.view(np.int64)), \
+                (qubits, reps, S, epoch)
+            theta = theta - 0.3 * grad
+
+
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                     reason="the bound describes how glibc malloc trims freed memory back "
                            "to the OS, counted by Linux's ru_minflt")
@@ -256,6 +312,45 @@ def test_stacked_training_does_not_refault_its_step_buffers(rng):
     _train_stack(states, labels, spec, cfg, range(S))
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 50 * cfg.epochs, faults
+
+
+_FIRST_CALL = """
+import resource
+import numpy as np
+from qcanary import ModelSpec, TrainConfig
+from qcanary.classifier import _train_stack
+from qcanary.encoding import _encode_rows
+
+rng = np.random.default_rng(0)
+spec, cfg, S, B = ModelSpec(qubits=4, ansatz_reps=3), TrainConfig(epochs=100), 32, 116
+rows = _encode_rows(rng.uniform(0, 1, size=(S * B, spec.qubits)))
+states = np.ascontiguousarray(rows.reshape(S, B, spec.dim).transpose(0, 2, 1))
+labels = rng.integers(0, 2, size=(S, B)).astype(float)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+_train_stack(states, labels, spec, cfg, range(S))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the bound describes how glibc malloc trims freed memory back "
+                           "to the OS, counted by Linux's ru_minflt")
+def test_first_training_call_in_a_process_faults_only_its_buffers():
+    # the CLI runs one audit per process, so the first stacked training
+    # call is the one it pays for. Until glibc's trim threshold has grown,
+    # arrays a step allocates and frees go back to the OS after every
+    # epoch and fault in anew, about a hundred faults per epoch; a step
+    # that writes only into its buffers faults each page of them once
+    import os
+    import subprocess
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", _FIRST_CALL], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    faults = int(done.stdout.split()[-1])
+    assert faults < 20 * 100, faults
 
 
 def test_engine_layers_match_kron_reference(rng):
