@@ -17,16 +17,18 @@ the walk (_Engine.walk_back): the global channel as the scale 1 - p, each
 per-qubit channel as an exact real gather. Shots are a readout effect,
 not a channel, and are drawn from the exact <Z> afterwards. Evaluation
 reads every state through A, and an audit block reads all its models
-through one stack. A gradient step reuses the observables of that walk
-and adds one walk forward from the data, so its cost does not grow with
-the parameter count, and one step advances all S models: model s sees
-only its own slice of every stacked matmul, so a stack trains each model
-to the same bits as training it alone, and a single model is the S = 1
-case. A training run allocates the arrays an epoch writes once, the walk
-back's observables included; only the layer table's small temporaries
-are made anew each epoch. RY encodings, RY, CX and Z are all real, so
-everything runs in float64. The circuits module is the reference these
-paths are tested against.
+through one stack. A gradient step keeps only the noiseless A from that
+walk and adds one walk forward from the data, the weighted states times
+A, so its cost does not grow with the parameter count: an RY layer
+commutes with its own generators, so each layer's slots are read before
+its rotation, through the generators the CX chain permutes. One step
+advances all S models: model s sees only its own slice of every stacked
+matmul, so a stack trains each model to the same bits as training it
+alone, and a single model is the S = 1 case. A training run allocates
+the arrays an epoch writes once, the walk back's two slabs included;
+only the layer table's small temporaries are made anew each epoch. RY
+encodings, RY, CX and Z are all real, so everything runs in float64.
+The circuits module is the reference these paths are tested against.
 """
 
 from __future__ import annotations
@@ -104,29 +106,38 @@ class _Engine:
         # j ^ mask_q, with entry -1/2 where bit q of j is 0 and +1/2 where 1
         idx = np.arange(self.dim)
         masks = 1 << (qubits - 1 - np.arange(qubits))[:, None]
-        self.cols = idx
         self.flip = idx ^ masks
         self.sign = np.where(idx & masks, 1.0, -1.0)
         # (-1)^(bit_q(i) + bit_q(j)), the signs Z_q puts on entry (i, j)
         self.parity = self.sign[:, :, None] * self.sign[:, None, :]
         self.obs = np.diag(-self.sign[0])  # the readout, Z on qubit 0
-        self.gather = self._table_index(self._cx_columns())
-        # generator_traces' entry (j, l, q) is sign_q[j] M_l[flip_q[j], j]:
-        # its flat offset in one model's (L, dim, dim) stack
+        perm = self._layer_columns()
+        self.gather = self._table_index(perm)
+        # generator_traces reads the CX-permuted generators P_l^T G_q P_l
+        # (see _GradientStep): entry (a, r) is G_q[perm a, perm r], so row
+        # a's one nonzero sits at r = perm^-1[flip_q[perm a]] and is
+        # sign_q[perm a] / 2. Both tables are (dim, L, n) over (a, l, q), the
+        # rows as flat offsets into one model's (L, dim, dim) stack
         L = reps + 1
-        self.trace_offsets = ((np.arange(L)[:, None] * self.dim + self.flip.T[:, None, :])
-                              * self.dim + idx[:, None, None])
+        rows = np.argsort(perm, axis=1)[np.arange(L)[:, None], self.flip[:, perm].T]
+        self.generator_offsets = (np.arange(L)[:, None] * self.dim + rows) * self.dim \
+            + idx[:, None, None]
+        self.generator_signs = self.sign[:, perm].T.copy()
 
-    def _cx_columns(self) -> np.ndarray:
-        """The linear CX chain as a permutation: it maps basis state j to
-        cols[j], so V @ chain is the column gather V[:, cols]."""
+    def _layer_columns(self) -> np.ndarray:
+        """(L, dim): the basis permutation P_l before each layer, the
+        identity before the first and the linear CX chain before the rest.
+        P_l maps basis state j to perm[l, j], so V @ P_l is the column
+        gather V[:, perm[l]]."""
         cols, n = np.arange(self.dim), self.n
         for q in range(n - 1):
             control = (cols >> (n - 1 - q)) & 1
             cols = cols ^ (control << (n - 2 - q))
-        return cols
+        perm = np.tile(np.arange(self.dim), (self.reps + 1, 1))
+        perm[1:] = cols
+        return perm
 
-    def _table_index(self, chain_cols: np.ndarray) -> np.ndarray:
+    def _table_index(self, perm: np.ndarray) -> np.ndarray:
         """(L, dim, dim) flat indices into a model's (L, 2 dim) layer table.
 
         Entry (i, c) of the Kronecker product of a layer's RY matrices,
@@ -134,13 +145,11 @@ class _Engine:
         bits i_q and c_q agree and sin where they differ, negated once for
         every qubit with i_q = 0 and c_q = 1 (the -sin of RY). So it is
         table[pattern] or table[dim + pattern], pattern = i ^ c. Column j of
-        every layer after the first reads column c = chain_cols[j], which
-        folds the CX chain before the layer into the gather.
+        layer l reads column c = perm[l, j] (_layer_columns), which folds
+        the CX chain before the layer into the gather.
         """
-        L, dim = self.reps + 1, self.dim
-        cols = np.tile(np.arange(dim), (L, 1))
-        cols[1:] = chain_cols
-        rows, cols = np.arange(dim)[:, None], cols[:, None, :]
+        L, dim = perm.shape
+        rows, cols = np.arange(dim)[:, None], perm[:, None, :]
         minus_sin = ~rows & cols
         negated = sum((minus_sin >> q) & 1 for q in range(self.n)) & 1
         return (np.arange(L)[:, None, None] * 2 + negated) * dim + (rows ^ cols)
@@ -175,35 +184,33 @@ class _Engine:
     def walk_back(self, layers: np.ndarray, noise: NoiseSpec, out: np.ndarray | None = None):
         """The readout walked back through each model's ansatz, last layer first.
 
-        Returns (after, A): after[l] is the observable the states see just
-        after layer l, (S, dim, dim) (the shared readout for the last
-        layer), and A the (S, dim, dim) one the input states see, so that
-        <Z> = psi^T A_s psi. Each layer V (real, so V^dagger = V^T) maps A
-        to V^T A V. This is the one place a depolarizing channel touches
-        the engine: it acts on A at the input, where it acts on the state.
-        The global channel's adjoint is (1 - p) A, as Z is traceless; a
-        per-qubit channel is a Pauli channel, its own adjoint. after stays
-        noiseless, and with it the circuit derivative of a training step.
+        Returns (clean, A), each (S, dim, dim): the observable the input
+        states see, so that <Z> = psi^T A_s psi, clean without noise and A
+        under it. Each layer V (real, so V^dagger = V^T) maps the
+        observable to V^T A V. This is the one place a depolarizing channel
+        touches the engine: it acts on A at the input, where it acts on the
+        state. The global channel's adjoint is (1 - p) A, as Z is
+        traceless; a per-qubit channel is a Pauli channel, its own adjoint.
+        With no channel A is clean, the same array.
 
-        out, an (L + 1, S, dim, dim) buffer, is allocated when not given:
-        out[l] receives the observable seen just before layer l, so after[l]
-        is out[l + 1] below the last layer and A is out[0], and out[L] holds
-        each V^T A on its way.
+        out, a (2, S, dim, dim) buffer, is allocated when not given: out[1]
+        holds each V^T A on its way and out[0] receives clean, then out[1]
+        the global channel's A.
         """
         S, L, dim = layers.shape[:3]
         if out is None:
-            out = np.empty((L + 1, S, dim, dim))
-        after, A = [None] * L, self.obs
+            out = np.empty((2, S, dim, dim))
+        A = self.obs
         for layer in range(L - 1, -1, -1):
-            after[layer] = A
             V = layers[:, layer]
-            A = np.matmul(np.matmul(V.transpose(0, 2, 1), A, out=out[L]), V, out=out[layer])
+            A = np.matmul(np.matmul(V.transpose(0, 2, 1), A, out=out[1]), V, out=out[0])
+        clean = A
         if noise.kind == "depolarizing" and noise.scope == "global":
-            A = np.multiply(1.0 - noise.p, A, out=A)
+            A = np.multiply(1.0 - noise.p, clean, out=out[1])
         elif noise.kind == "depolarizing":
             for q in range(self.n):
                 A = self.depolarize_qubit(A, q, noise.p)
-        return after, A
+        return clean, A
 
     def depolarize_qubit(self, A: np.ndarray, q: int, p: float) -> np.ndarray:
         """The depolarizing channel on qubit q, applied to each real (S, dim,
@@ -223,20 +230,23 @@ class _Engine:
         indices of its gather into an (S, L, dim, dim) stack, the entries'
         signs in full so they apply in one contiguous pass, the gather's
         buffer and the (S, P) traces."""
-        dim, (L, n) = self.dim, self.trace_offsets.shape[1:]
-        index = self.trace_offsets[:, None] + L * dim * dim * np.arange(S)[:, None, None]
-        signs = np.broadcast_to(self.sign.T[:, None, None, :], index.shape).copy()
+        dim, (L, n) = self.dim, self.generator_offsets.shape[1:]
+        index = self.generator_offsets[:, None] + L * dim * dim * np.arange(S)[:, None, None]
+        signs = np.broadcast_to(self.generator_signs[:, None], index.shape).copy()
         return index, signs, np.empty(index.shape), np.empty((S, L * n))
 
-    def generator_traces(self, M: np.ndarray, out: tuple | None = None) -> np.ndarray:
-        """2 tr(G_q M_l) for every layer l and qubit q, in slot order, as a
-        signed gather over the real (S, layers, dim, dim) stack M -> (S, P).
+    def generator_traces(self, Y: np.ndarray, out: tuple | None = None) -> np.ndarray:
+        """2 tr(P_l^T G_q P_l Y_l) for every layer l and qubit q, in slot
+        order, as a signed gather over the real (S, layers, dim, dim) stack
+        Y -> (S, P).
 
-        out is the trace_buffers of M's stack, made here when not given.
-        The gather puts the generator column j outermost, so the sum over
-        j adds whole (S, L, n) slices in column order."""
-        index, signs, gathered, traces = self.trace_buffers(M.shape[0]) if out is None else out
-        np.take(M, index, out=gathered, mode="clip")
+        The CX-permuted generator has one nonzero, +-1/2, in each row a, so
+        each trace is dim signed entries of Y_l, one from each column a
+        (tabled in __init__). out is the trace_buffers of Y's stack, made
+        here when not given. The gather puts a outermost, so the sum over a
+        adds whole (S, L, n) slices in column order."""
+        index, signs, gathered, traces = self.trace_buffers(Y.shape[0]) if out is None else out
+        np.take(Y, index, out=gathered, mode="clip")
         np.multiply(gathered, signs, out=gathered)
         np.add.reduce(gathered, axis=0, out=traces.reshape(gathered.shape[1:]))
         return traces
@@ -407,14 +417,25 @@ class _GradientStep:
     noiseless by contract, so the gradient is 0.5 * mean_b(dL/dp_b *
     dz_b/dtheta) (Jones & Gacon, arXiv:2009.02823).
 
-    The walk back from the readout gives A_l, the noiseless observable
-    seen just after RY layer l, and z_b = psi_b^T A psi_b. The data then
-    enter only through C = sum_b w_b psi_b psi_b^T, w_b = 0.5 dL/dp_b / B,
-    which the walk forward turns into S_l, the weighted states just after
-    layer l. The RY on qubit q in layer l has derivative G_q RY, with
-    G_q = -iY_q/2 a real matrix, so that slot's entry is
-    2 tr(A_l G_q S_l). Every product is a real stacked matmul, one GEMM
-    per model.
+    Layer l is V_l = R_l P_l, the RY layer R_l after the CX chain P_l
+    (P_0 = I). The RY on qubit q has derivative G_q R_l, with G_q = -iY_q/2
+    a real matrix that commutes with every RY, so R_l^T G_q R_l = G_q.
+    With psi_l a state just before layer l, A_l the noiseless observable
+    seen there and A_{l+1} = V_l A_l V_l^T the one just after,
+
+        dz/dtheta_lq = 2 psi_l^T V_l^T A_{l+1} G_q V_l psi_l
+                     = 2 psi_l^T A_l (V_l^T G_q V_l) psi_l
+                     = 2 psi_l^T A_l (P_l^T G_q P_l) psi_l.
+
+    The data enter through w_b = 0.5 dL/dp_b / B, so slot (l, q) is
+    2 tr(P_l^T G_q P_l Y_l) with Y_l = sum_b w_b psi_lb psi_lb^T A_l.
+    Every V_l is orthogonal, so Y_{l+1} = V_l Y_l V_l^T, and
+    Y_0 = sum_b w_b psi_b (A_0 psi_b)^T reuses the A psi the loss reads
+    (read again through the noiseless A_0 when a channel acts). The
+    permuted generator P_l^T G_q P_l is fixed, so a slot is a signed
+    gather of Y_l (_Engine.generator_traces), and no observable but A_0
+    is kept from the walk back. Every product is a real stacked matmul,
+    one GEMM per model, of a shape that does not depend on S.
 
     The loss is -ln q, q the probability of the model's label (_bce), so
     dL/dp is -1/q or 1/q. Every array an epoch writes, but the small
@@ -433,35 +454,34 @@ class _GradientStep:
         # 0.5 dL/dp = -0.5/q or 0.5/q, exactly 0.5 times -1/q or 1/q
         self.half_sign = np.where(self.label_one, -0.5, 0.5)
         self.layers = np.empty((S, L, dim, dim))
-        self.walked = np.empty((L + 1, S, dim, dim))
-        self.per_state = np.empty(states.shape)  # A psi, then the weighted states
+        self.walked = np.empty((2, S, dim, dim))
+        self.per_state = np.empty(states.shape)  # A psi, then w A psi
         self.p, self.q, self.w = np.empty((3, S, B))
         self.loss = np.empty(S)
-        self.C = np.empty((S, dim, dim))
-        self.VC = np.empty_like(self.C)
-        self.M = np.empty_like(self.layers)
+        self.Y = np.empty_like(self.layers)
+        self.VY = np.empty((S, dim, dim))
         self.traces = engine.trace_buffers(S)
 
     def __call__(self, theta: np.ndarray):
-        engine, states, C, VC = self.engine, self.states, self.C, self.VC
+        engine, states, Y, VY = self.engine, self.states, self.Y, self.VY
         B = states.shape[-1]
         layers = engine.layers(theta, out=self.layers)
-        after, A = engine.walk_back(layers, self.noise, out=self.walked)
+        clean, A = engine.walk_back(layers, self.noise, out=self.walked)
         p = _probs_from_z(_read_z(A, states, self.per_state, out=self.p), out=self.p)
         q = _label_probs(p, self.label_one, out=self.q)
         # the mean of -ln q, as the sum of ln q over -B
         np.add.reduce(np.log(q, out=self.p), axis=-1, out=self.loss)
         np.divide(self.loss, -B, out=self.loss)
         w = np.divide(np.divide(self.half_sign, q, out=self.w), B, out=self.w)
-        weighted = np.multiply(states, w[:, None, :], out=self.per_state)
-        np.matmul(weighted, states.transpose(0, 2, 1), out=C)
-        # tr(A G S) = tr(G M) with M = S A
-        for layer in range(layers.shape[1]):
+        if A is not clean:
+            np.matmul(clean, states, out=self.per_state)
+        weighted = np.multiply(self.per_state, w[:, None, :], out=self.per_state)
+        np.matmul(states, weighted.transpose(0, 2, 1), out=Y[:, 0])
+        for layer in range(layers.shape[1] - 1):
             V = layers[:, layer]
-            np.matmul(V, C, out=VC)
-            np.matmul(VC, V.transpose(0, 2, 1), out=C)
-            np.matmul(C, after[layer], out=self.M[:, layer])
-        return self.loss, engine.generator_traces(self.M, out=self.traces)
+            np.matmul(V, Y[:, layer], out=VY)
+            np.matmul(VY, V.transpose(0, 2, 1), out=Y[:, layer + 1])
+        return self.loss, engine.generator_traces(Y, out=self.traces)
 
 
 def train(states, labels, spec: ModelSpec, cfg: TrainConfig) -> TrainedModel:

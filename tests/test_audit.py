@@ -1,5 +1,9 @@
+import hashlib
 import importlib
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 import qcanary as qc
 from qcanary import AuditConfig, DomainError, ModelSpec, NoiseSpec, TrainConfig
-from qcanary.audit import _calibration, _evaluate_block
+from qcanary.audit import _calibration, _evaluate_block, _median
 from qcanary.encoding import _encode_rows
 
 
@@ -32,6 +36,19 @@ PINNED_DEFAULT_AUDIT = {
     "kappa": 0.7383831321419831,
     "x": [[1, 1, 1], [1, 0, 0], [0, 1, 1], [1, 1, 1], [1, 1, 1], [0, 1, 0]],
     "y": [[1, 0, 0], [1, 1, 0], [1, 0, 1], [0, 0, 0], [1, 1, 0], [1, 1, 1]],
+}
+
+# the acceptance audit (iris, n = 64, K = 16, 4 qubits, 3 reps, 100
+# epochs, d = 0.1, noiseless, seed 0): the first 16 hex digits of the
+# SHA-256 of x and y (uint8, C order), as bench/digests.py prints them,
+# kappa and epsilon_hat. A change that only makes the audit faster keeps
+# x, y and epsilon_hat; kappa is a median of losses, so it moves with the
+# rounding of the gradient
+PINNED_ACCEPTANCE_AUDIT = {
+    "x": "2df7789cd3952cbd",
+    "y": "6e758e45898b5547",
+    "kappa": 0.7057716384751523,
+    "epsilon_hat": 0.07459289053500204,
 }
 
 
@@ -308,6 +325,53 @@ def test_default_rule_and_bound_reproduce_pinned_audit(dataset):
     assert report.kappa == PINNED_DEFAULT_AUDIT["kappa"]
     assert report.trials.x.tolist() == PINNED_DEFAULT_AUDIT["x"]
     assert report.trials.y.tolist() == PINNED_DEFAULT_AUDIT["y"]
+
+
+def test_acceptance_audit_reproduces_its_digests():
+    cfg = AuditConfig(n=64, K=16, d=0.1, model=ModelSpec(qubits=4, ansatz_reps=3),
+                      train=TrainConfig(epochs=100, learning_rate=0.1),
+                      noise=NoiseSpec.none(), seed=0)
+    report = qc.audit(cfg, qc.load_iris_binary(), workers=1)
+    x, y = (hashlib.sha256(np.ascontiguousarray(m, dtype=np.uint8).tobytes()).hexdigest()[:16]
+            for m in (report.trials.x, report.trials.y))
+    assert (x, y) == (PINNED_ACCEPTANCE_AUDIT["x"], PINNED_ACCEPTANCE_AUDIT["y"])
+    assert report.estimate.epsilon_hat == PINNED_ACCEPTANCE_AUDIT["epsilon_hat"]
+    assert report.kappa == PINNED_ACCEPTANCE_AUDIT["kappa"]
+
+
+_ONE_AUDIT = """
+import sys
+import numpy as np
+import qcanary as qc
+from qcanary import AuditConfig, ModelSpec, NoiseSpec, TrainConfig
+
+cfg = AuditConfig(n=4, K=3, d=0.1, model=ModelSpec(qubits=3, ansatz_reps=2),
+                  train=TrainConfig(epochs=8), noise=NoiseSpec.none(), seed=17,
+                  kappa_rule="calibrated_median")
+qc.audit(cfg, qc.synth_gaussians(3, 20, 2.5, np.random.default_rng(99)))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_one_audit_does_not_import_numpy_ma():
+    # np.median imports numpy.ma for its NaN check, about 5 ms that every
+    # CLI process, one audit each, would pay; both medians of an audit
+    # (calibration and the reported kappa) avoid it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", _ONE_AUDIT], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split()[-1] == "False"
+
+
+def test_median_matches_numpy_bit_for_bit(rng):
+    for size in (*range(1, 12), 64, 2048):
+        for values in (rng.normal(size=size), np.round(rng.normal(size=size), 1)):
+            want = np.median(values)
+            assert np.float64(_median(values)).view(np.int64) == want.view(np.int64), size
+            values[rng.integers(size)] = np.nan
+            assert math.isnan(_median(values)), size
 
 
 def test_calibrate_kappa_median(dataset):
