@@ -23,8 +23,8 @@ can be compared.
 Trials are independent and keyed by (master seed, trial index). They run
 in blocks of at most TRIAL_BLOCK consecutive trials: every trial of a block draws
 its canaries, offsets and initialization from its own stream, the block's
-models train as one stack, their observables under the evaluation noise
-come from one walk back, all of them read their canaries in one stack,
+models train as one stack, their readout rows come from one walk back,
+all of them read their canaries in one stack under the evaluation noise,
 and under shots each trial then draws from its own stream again. A
 stacked model trains and reads out to the same bits as a lone one, so
 block size, order and process placement leave every output bit
@@ -42,7 +42,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .classifier import (ModelSpec, TrainConfig, _observables, _read_losses, _stack_states,
+from .classifier import (ModelSpec, TrainConfig, _read_losses, _readout_rows, _stack_states,
                          _train_stack, eval_model, evaluate_losses, train)
 from .data import Dataset
 from .encoding import OffsetSpec, _encode_rows, sample_offsets
@@ -534,16 +534,16 @@ def _evaluate_block(config: AuditConfig, models: list, states: np.ndarray,
                     labels: np.ndarray, rngs) -> list:
     """Each trial t's losses on its states[t] under config.noise: model t's,
     then model T + t's when models holds references after the T audited
-    models. All observables come from one walk back and every model reads
+    models. All readout rows come from one walk back and every model reads
     in one stack; under shots each trial draws from its own rng, model t
     first, so every loss and every shot draw equals evaluate_losses on
     that model alone."""
     T, S, noise = len(rngs), len(models), config.noise
-    A = _observables(config.model, np.stack([m.params for m in models]), noise)
+    rows = _readout_rows(config.model, np.stack([m.params for m in models]))
     reads = np.arange(S) % T  # the trial whose canaries model i reads
     stacked = np.ascontiguousarray(states.transpose(0, 2, 1))[reads]
     draws = [(i, rng) for t, rng in enumerate(rngs) for i in range(t, S, T)]
-    losses = _read_losses(A, noise, stacked, labels[reads], draws)
+    losses = _read_losses(config.model, rows, noise, stacked, labels[reads], draws)
     return [list(losses[t::T]) for t in range(T)]
 
 

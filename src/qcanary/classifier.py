@@ -1,34 +1,35 @@
 """The variational classifier: encode, rotate, entangle, measure, read out.
 
 A model is a RealAmplitudes-style ansatz over encoded product states with
-a fixed readout, <Z> on qubit 0, mapped to a class probability
-p = (1 + <Z>)/2 and binary cross-entropy loss. Training is full-batch
-gradient descent on exact adjoint gradients.
+a fixed readout, a projective measurement of qubit 0: class 1 is outcome
+0, with probability p = ||Pi U psi||^2, and the loss is binary
+cross-entropy. Pi = E^T E projects onto the first dim/2 basis states (E
+holds those rows of the identity), so <Z> on qubit 0 is 2p - 1. Training
+is full-batch gradient descent on exact adjoint gradients.
 
 One engine serves every path, and it works on stacks of models. A privacy
 audit retrains the model hundreds of times, so the _Engine below takes S
 parameter vectors at once and gathers all their layer unitaries in one
 take from per-layer tables: every entry of an RY layer is a signed product
 of one cos or sin per qubit, and the gather index also applies the CX
-chain, a permutation. It then walks the observable back through them to
-the effective observables A_s with <Z> = psi^T A_s psi. Both depolarizing
-channels act there and only there, on the stacked A_s at the input end of
-the walk (_Engine.walk_back): the global channel as the scale 1 - p, each
-per-qubit channel as an exact real gather. Shots are a readout effect,
-not a channel, and are drawn from the exact <Z> afterwards. Evaluation
-reads every state through A, and an audit block reads all its models
-through one stack. A gradient step keeps only the noiseless A from that
-walk and adds one walk forward from the data, the weighted states times
-A, so its cost does not grow with the parameter count: an RY layer
-commutes with its own generators, so each layer's slots are read before
-its rotation, through the generators the CX chain permutes. One step
-advances all S models: model s sees only its own slice of every stacked
-matmul, so a stack trains each model to the same bits as training it
-alone, and a single model is the S = 1 case. A training run allocates
-the arrays an epoch writes once, the walk back's two slabs included;
-only the layer table's small temporaries are made anew each epoch. RY
-encodings, RY, CX and Z are all real, so everything runs in float64.
-The circuits module is the reference these paths are tested against.
+chain, a permutation. It then walks the readout's dim/2 rows back through
+them (_Engine.walk_back), R_l = E V_{L-1} ... V_l, and reads p as the
+squared norm of T = R_0 psi. Noise acts there and only there, at the read
+(_Engine.read): the global channel mixes in 1/2, a per-qubit channel acts
+as an exact real gather on the observable 2 R_0^T R_0 - I, and shots are
+drawn from the exact p. Evaluation and training share that read, and an
+audit block reads all its models through one stack. A gradient step
+keeps every R_l and adds one walk forward from the data through dim/2
+columns, the states weighted with their T, so its cost does not grow with
+the parameter count: an RY layer commutes with its own generators, so each
+layer's slots are read before its rotation, through the generators the CX
+chain permutes. One step advances all S models: model s sees only its own
+slice of every stacked matmul, so a stack trains each model to the same
+bits as training it alone, and a single model is the S = 1 case. A
+training run allocates the arrays an epoch writes once; only the layer
+table's small temporaries are made anew each epoch. RY encodings, RY, CX
+and the projector are all real, so everything runs in float64. The
+circuits module is the reference these paths are tested against.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class TrainedModel:
 # simulation engine
 
 class _Engine:
-    """The ansatz as raw float64 arrays: RY layers, the CX chain and the Z readout."""
+    """The ansatz as raw float64 arrays: RY layers, the CX chain and the qubit-0 readout."""
 
     def __init__(self, qubits: int, reps: int):
         self.n = qubits
@@ -110,7 +111,9 @@ class _Engine:
         self.sign = np.where(idx & masks, 1.0, -1.0)
         # (-1)^(bit_q(i) + bit_q(j)), the signs Z_q puts on entry (i, j)
         self.parity = self.sign[:, :, None] * self.sign[:, None, :]
-        self.obs = np.diag(-self.sign[0])  # the readout, Z on qubit 0
+        # Z on qubit 0, 2 E^T E - I: +1 on the first dim/2 basis states,
+        # the rows E of the readout projector (walk_back)
+        self.obs = np.diag(-self.sign[0])
         perm = self._layer_columns()
         self.gather = self._table_index(perm)
         # generator_traces reads the CX-permuted generators P_l^T G_q P_l
@@ -181,36 +184,63 @@ class _Engine:
         # straight into out, where "raise" would fill a copy first
         return np.take(table.reshape(S, -1), self.gather, axis=1, out=out, mode="clip")
 
-    def walk_back(self, layers: np.ndarray, noise: NoiseSpec, out: np.ndarray | None = None):
-        """The readout walked back through each model's ansatz, last layer first.
+    def walk_back(self, layers: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The readout's rows walked back through each model's ansatz, last
+        layer first.
 
-        Returns (clean, A), each (S, dim, dim): the observable the input
-        states see, so that <Z> = psi^T A_s psi, clean without noise and A
-        under it. Each layer V (real, so V^dagger = V^T) maps the
-        observable to V^T A V. This is the one place a depolarizing channel
-        touches the engine: it acts on A at the input, where it acts on the
-        state. The global channel's adjoint is (1 - p) A, as Z is
-        traceless; a per-qubit channel is a Pauli channel, its own adjoint.
-        With no channel A is clean, the same array.
-
-        out, a (2, S, dim, dim) buffer, is allocated when not given: out[1]
-        holds each V^T A on its way and out[0] receives clean, then out[1]
-        the global channel's A.
+        Returns the (S, L, dim/2, dim) stack R_l = E V_{L-1} ... V_l, E the
+        first dim/2 rows of the identity, so that the readout projector seen
+        just before layer l is R_l^T R_l and p = ||R_0 psi||^2 (read).
+        R_{L-1} is the top half of V_{L-1}, and R_l = R_{l+1} V_l: one
+        (dim/2 x dim)(dim x dim) GEMM per layer and model, with no
+        transposed operand. Written to out when given. The walk is
+        noiseless; every channel acts at the read.
         """
         S, L, dim = layers.shape[:3]
         if out is None:
-            out = np.empty((2, S, dim, dim))
-        A = self.obs
-        for layer in range(L - 1, -1, -1):
-            V = layers[:, layer]
-            A = np.matmul(np.matmul(V.transpose(0, 2, 1), A, out=out[1]), V, out=out[0])
-        clean = A
-        if noise.kind == "depolarizing" and noise.scope == "global":
-            A = np.multiply(1.0 - noise.p, clean, out=out[1])
-        elif noise.kind == "depolarizing":
+            out = np.empty((S, L, dim // 2, dim))
+        out[:, L - 1] = layers[:, L - 1, :dim // 2]
+        for layer in range(L - 2, -1, -1):
+            np.matmul(out[:, layer + 1], layers[:, layer], out=out[:, layer])
+        return out
+
+    def read(self, rows: np.ndarray, noise: NoiseSpec, states: np.ndarray, draws=(),
+             T: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        """p[s, b], the clamped probability that model s, whose readout rows
+        are rows[s] = R_0 (walk_back), reads class 1 from column b of
+        states[s] under noise: (S, dim/2, dim) and (S, dim, B) -> (S, B),
+        written to out when given.
+
+        This is the one place noise touches the engine. Noiseless, p is the
+        Born rule, sum_i T_ib^2 with T = R_0 psi, written to T when given,
+        an (S, dim/2, B) buffer. The global channel mixes each state with
+        I/dim, which the rank-dim/2 projector reads as 1/2, so p becomes
+        (1 - p_n) p + p_n/2. A per-qubit channel is a Pauli channel, its own
+        adjoint, so it acts on the observable the states see, A = U^T Z U =
+        2 R_0^T R_0 - I, as depolarize_qubit's gathers, and p = (1 + psi^T A
+        psi)/2; only this path builds A, and it leaves T unwritten. Under
+        shots p of model s becomes the share of outcome 0 in a binomial
+        count drawn from its exact p with rng, for each (s, rng) in draws
+        in that order, so a model read in a stack draws what it draws read
+        alone.
+        """
+        if noise.kind == "depolarizing" and noise.scope == "per_qubit":
+            A = 2.0 * np.matmul(rows.transpose(0, 2, 1), rows) - np.eye(self.dim)
             for q in range(self.n):
                 A = self.depolarize_qubit(A, q, noise.p)
-        return clean, A
+            p = np.einsum("sib,sib->sb", states, np.matmul(A, states), out=out)
+            p = np.divide(np.add(1.0, p, out=p), 2.0, out=p)
+        else:
+            T = np.matmul(rows, states, out=T)
+            p = np.einsum("sib,sib->sb", T, T, out=out)
+            if noise.kind == "depolarizing":
+                p = np.add(np.multiply(1.0 - noise.p, p, out=p), noise.p / 2.0, out=p)
+            elif noise.kind == "measurement_shots":
+                for s, rng in draws:
+                    if rng is None:
+                        raise ValueError("finite-shot evaluation needs an explicit rng")
+                    p[s] = rng.binomial(noise.shots, np.clip(p[s], 0.0, 1.0)) / noise.shots
+        return np.clip(p, P_CLAMP, 1.0 - P_CLAMP, out=p)
 
     def depolarize_qubit(self, A: np.ndarray, q: int, p: float) -> np.ndarray:
         """The depolarizing channel on qubit q, applied to each real (S, dim,
@@ -285,11 +315,6 @@ def _stack_states(states, dim: int) -> np.ndarray:
     return np.ascontiguousarray(block, dtype=float)
 
 
-def _probs_from_z(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    p = np.divide(np.add(1.0, z, out=out), 2.0, out=out)
-    return np.clip(p, P_CLAMP, 1.0 - P_CLAMP, out=out)
-
-
 def _label_probs(p: np.ndarray, label_one: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """q, the probability p gives each label: p where label_one, else 1 - p."""
     q = np.subtract(1.0, p, out=out)
@@ -323,49 +348,20 @@ def _batch_labels(states, labels) -> np.ndarray:
     return labels
 
 
-def _sample_z(z_exact: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Finite-shot estimate of <Z> from measurement counts: the count of
-    +1 outcomes is binomial with probability (1 + <Z>)/2."""
-    p_plus = np.clip((np.atleast_1d(z_exact) + 1.0) / 2.0, 0.0, 1.0)
-    counts = rng.binomial(shots, p_plus)
-    return -1.0 + 2.0 * counts / shots
-
-
-def _observables(spec: ModelSpec, params: np.ndarray, noise: NoiseSpec) -> np.ndarray:
-    """The effective observables A_s, with <Z> = psi^T A_s psi, of the
-    rows of the (S, P) params under noise, as one (S, dim, dim) walk back.
-    Depolarizing noise acts inside A; shots act later, on <Z> (see
-    _read_losses)."""
+def _readout_rows(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
+    """R_0 = E U_s, the (S, dim/2, dim) readout rows of the rows of the
+    (S, P) params, from one walk back (_Engine.walk_back)."""
     engine = _engine_for(spec)
-    _, A = engine.walk_back(engine.layers(np.reshape(params, (-1, spec.param_count))), noise)
-    return A
+    return engine.walk_back(engine.layers(np.reshape(params, (-1, spec.param_count))))[:, 0]
 
 
-def _read_z(A: np.ndarray, states: np.ndarray, scratch: np.ndarray | None = None,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """z[s, b] = psi^T A_s psi for every column psi of states[s]:
-    (S, dim, dim) observables and (S, dim, B) states -> (S, B), written
-    to out when given. A psi goes to scratch when given, an (S, dim, B)
-    buffer."""
-    return np.einsum("sib,sib->sb", states, np.matmul(A, states, out=scratch), out=out)
-
-
-def _read_losses(A: np.ndarray, noise: NoiseSpec, states: np.ndarray, labels: np.ndarray,
-                 draws=()) -> np.ndarray:
-    """Every model's losses, (S, B): model s, whose observable under noise
-    is A[s], reads the columns of states[s] against labels[s]. A already
-    holds any depolarizing channel. Under shots, <Z> of model s is drawn
-    from rng for each (s, rng) in draws, in that order, so a model read
-    in a stack draws what it draws read alone. The callers check the
-    labels: evaluate_losses and mean_loss check them, the audit generates
-    its own."""
-    z = _read_z(A, states)
-    if noise.kind == "measurement_shots":
-        for s, rng in draws:
-            if rng is None:
-                raise ValueError("finite-shot evaluation needs an explicit rng")
-            z[s] = _sample_z(z[s], noise.shots, rng)
-    return _bce(_probs_from_z(z), labels)
+def _read_losses(spec: ModelSpec, rows: np.ndarray, noise: NoiseSpec, states: np.ndarray,
+                 labels: np.ndarray, draws=()) -> np.ndarray:
+    """Every model's losses, (S, B): model s, whose readout rows are
+    rows[s], reads the columns of states[s] against labels[s] under noise,
+    shots drawn as _Engine.read draws them. The callers check the labels:
+    evaluate_losses and mean_loss check them, the audit generates its own."""
+    return _bce(_engine_for(spec).read(rows, noise, states, draws), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -380,17 +376,15 @@ def evaluate_losses(model: TrainedModel, states, labels,
     amplitude rows."""
     spec = model.spec
     labels = _batch_labels(states, _binary_labels(labels))
-    A = _observables(spec, model.params, spec.noise)
-    return _read_losses(A, spec.noise, _stack_states(states, spec.dim)[None], labels[None],
-                        [(0, rng)])[0]
+    return _read_losses(spec, _readout_rows(spec, model.params), spec.noise,
+                        _stack_states(states, spec.dim)[None], labels[None], [(0, rng)])[0]
 
 
 def mean_loss(spec: ModelSpec, params: np.ndarray, states, labels) -> float:
     """Noiseless exact-expectation mean loss, the quantity training descends."""
-    clean = NoiseSpec.none()
     labels = _batch_labels(states, _binary_labels(labels))
-    A = _observables(spec, np.asarray(params, dtype=float), clean)
-    return float(_read_losses(A, clean, _stack_states(states, spec.dim)[None],
+    rows = _readout_rows(spec, np.asarray(params, dtype=float))
+    return float(_read_losses(spec, rows, NoiseSpec.none(), _stack_states(states, spec.dim)[None],
                               labels[None])[0].mean())
 
 
@@ -412,30 +406,36 @@ class _GradientStep:
 
     states is the real (S, dim, B) and labels (S, B); a call takes the
     (S, P) theta and returns the (S,) losses and the (S, P) gradients. The
-    loss reads <Z> through the observable walk_back gives under noise, so a
-    global channel acts on it; the circuit derivative dz/dtheta stays
-    noiseless by contract, so the gradient is 0.5 * mean_b(dL/dp_b *
-    dz_b/dtheta) (Jones & Gacon, arXiv:2009.02823).
+    loss reads p through _Engine.read under noise, so a global channel
+    acts on it; the circuit derivative dp_clean/dtheta stays noiseless by
+    contract, so the gradient is mean_b(dL/dp_b * dp_clean_b/dtheta)
+    (Jones & Gacon, arXiv:2009.02823).
 
     Layer l is V_l = R_l P_l, the RY layer R_l after the CX chain P_l
     (P_0 = I). The RY on qubit q has derivative G_q R_l, with G_q = -iY_q/2
     a real matrix that commutes with every RY, so R_l^T G_q R_l = G_q.
-    With psi_l a state just before layer l, A_l the noiseless observable
-    seen there and A_{l+1} = V_l A_l V_l^T the one just after,
+    The readout is the projector Pi = E^T E (walk_back), so with psi_l a
+    state just before layer l, the rows R_l seen there and T = R_0 psi,
 
-        dz/dtheta_lq = 2 psi_l^T V_l^T A_{l+1} G_q V_l psi_l
-                     = 2 psi_l^T A_l (V_l^T G_q V_l) psi_l
-                     = 2 psi_l^T A_l (P_l^T G_q P_l) psi_l.
+        dp_clean/dtheta_lq = 2 T^T R_{l+1} G_q V_l psi_l
+                           = 2 T^T R_l (V_l^T G_q V_l) psi_l
+                           = 2 T^T R_l (P_l^T G_q P_l) psi_l.
 
-    The data enter through w_b = 0.5 dL/dp_b / B, so slot (l, q) is
-    2 tr(P_l^T G_q P_l Y_l) with Y_l = sum_b w_b psi_lb psi_lb^T A_l.
-    Every V_l is orthogonal, so Y_{l+1} = V_l Y_l V_l^T, and
-    Y_0 = sum_b w_b psi_b (A_0 psi_b)^T reuses the A psi the loss reads
-    (read again through the noiseless A_0 when a channel acts). The
-    permuted generator P_l^T G_q P_l is fixed, so a slot is a signed
-    gather of Y_l (_Engine.generator_traces), and no observable but A_0
-    is kept from the walk back. Every product is a real stacked matmul,
-    one GEMM per model, of a shape that does not depend on S.
+    The data enter through w_b = dL/dp_b / B, so slot (l, q) is
+    2 tr(P_l^T G_q P_l Y_l) with Y_l = F_l R_l and F_l = sum_b w_b psi_lb
+    T_b^T, a dim x dim/2 stack: F_0 = states (w T)^T, and every V_l maps
+    the states on, so F_{l+1} = V_l F_l. The permuted generator
+    P_l^T G_q P_l is fixed, so a slot is a signed gather of Y_l
+    (_Engine.generator_traces).
+
+    This is the observable walk with A = U^T Z U = 2 R_0^T R_0 - I put in:
+    its Y_0 = sum_b (w_b/2) psi_b (A psi_b)^T becomes F_0 R_0 - rho/2, with
+    rho = sum_b w_b psi_b psi_b^T. rho and every V rho V^T are symmetric,
+    and every P_l^T G_q P_l is antisymmetric, so the rho part adds exactly
+    0 to every slot and is dropped. What is left walks dim/2 rows back and
+    dim/2 columns forward, where the observable walk carried dim x dim
+    matrices both ways. Every product is a real stacked matmul, one GEMM
+    per model (and layer), of a shape that does not depend on S.
 
     The loss is -ln q, q the probability of the model's label (_bce), so
     dL/dp is -1/q or 1/q. Every array an epoch writes, but the small
@@ -448,39 +448,35 @@ class _GradientStep:
     def __init__(self, engine: _Engine, states: np.ndarray, labels: np.ndarray,
                  noise: NoiseSpec):
         S, dim, B = states.shape
-        L = engine.reps + 1
+        L, half = engine.reps + 1, dim // 2
         self.engine, self.states, self.noise = engine, states, noise
         self.label_one = labels == 1.0
-        # 0.5 dL/dp = -0.5/q or 0.5/q, exactly 0.5 times -1/q or 1/q
-        self.half_sign = np.where(self.label_one, -0.5, 0.5)
+        self.dldp_sign = np.where(self.label_one, -1.0, 1.0)  # dL/dp = -1/q or 1/q
         self.layers = np.empty((S, L, dim, dim))
-        self.walked = np.empty((2, S, dim, dim))
-        self.per_state = np.empty(states.shape)  # A psi, then w A psi
+        self.rows = np.empty((S, L, half, dim))
+        self.T = np.empty((S, half, B))  # R_0 psi, then w R_0 psi
         self.p, self.q, self.w = np.empty((3, S, B))
         self.loss = np.empty(S)
+        self.F = np.empty((S, L, dim, half))
         self.Y = np.empty_like(self.layers)
-        self.VY = np.empty((S, dim, dim))
         self.traces = engine.trace_buffers(S)
 
     def __call__(self, theta: np.ndarray):
-        engine, states, Y, VY = self.engine, self.states, self.Y, self.VY
+        engine, states, F = self.engine, self.states, self.F
         B = states.shape[-1]
         layers = engine.layers(theta, out=self.layers)
-        clean, A = engine.walk_back(layers, self.noise, out=self.walked)
-        p = _probs_from_z(_read_z(A, states, self.per_state, out=self.p), out=self.p)
+        rows = engine.walk_back(layers, out=self.rows)
+        p = engine.read(rows[:, 0], self.noise, states, T=self.T, out=self.p)
         q = _label_probs(p, self.label_one, out=self.q)
         # the mean of -ln q, as the sum of ln q over -B
         np.add.reduce(np.log(q, out=self.p), axis=-1, out=self.loss)
         np.divide(self.loss, -B, out=self.loss)
-        w = np.divide(np.divide(self.half_sign, q, out=self.w), B, out=self.w)
-        if A is not clean:
-            np.matmul(clean, states, out=self.per_state)
-        weighted = np.multiply(self.per_state, w[:, None, :], out=self.per_state)
-        np.matmul(states, weighted.transpose(0, 2, 1), out=Y[:, 0])
+        w = np.divide(np.divide(self.dldp_sign, q, out=self.w), B, out=self.w)
+        weighted = np.multiply(self.T, w[:, None, :], out=self.T)
+        np.matmul(states, weighted.transpose(0, 2, 1), out=F[:, 0])
         for layer in range(layers.shape[1] - 1):
-            V = layers[:, layer]
-            np.matmul(V, Y[:, layer], out=VY)
-            np.matmul(VY, V.transpose(0, 2, 1), out=Y[:, layer + 1])
+            np.matmul(layers[:, layer], F[:, layer], out=F[:, layer + 1])
+        Y = np.matmul(F, rows, out=self.Y)
         return self.loss, engine.generator_traces(Y, out=self.traces)
 
 
@@ -489,7 +485,7 @@ def train(states, labels, spec: ModelSpec, cfg: TrainConfig) -> TrainedModel:
 
     Full-batch descent for cfg.epochs steps from a small uniform random
     initialization, all in float64 on real states (see _stack_states).
-    Global depolarizing noise in spec.noise acts on the observable the
+    Global depolarizing noise in spec.noise acts on the probability the
     loss reads, the gradient's circuit derivative stays noiseless, and
     shots are ignored; per-qubit noise is not supported. Deterministic for
     a fixed seed, which draws the initialization.

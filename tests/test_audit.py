@@ -47,8 +47,18 @@ PINNED_DEFAULT_AUDIT = {
 PINNED_ACCEPTANCE_AUDIT = {
     "x": "2df7789cd3952cbd",
     "y": "6e758e45898b5547",
-    "kappa": 0.7057716384751523,
+    "kappa": 0.7057716384751527,
     "epsilon_hat": 0.07459289053500204,
+}
+
+# the same audit at 15 epochs, evaluated under per-qubit depolarizing
+# p = 0.05 (bench's iris-perqubit-eval, seed 0): the one evaluation path
+# that builds the readout observable and puts a channel on it
+PINNED_PERQUBIT_AUDIT = {
+    "x": "6b2a8f888e71c703",
+    "y": "79c4b9f2c39a127e",
+    "kappa": 0.70235989969888,
+    "epsilon_hat": 0.0,
 }
 
 
@@ -327,16 +337,25 @@ def test_default_rule_and_bound_reproduce_pinned_audit(dataset):
     assert report.trials.y.tolist() == PINNED_DEFAULT_AUDIT["y"]
 
 
-def test_acceptance_audit_reproduces_its_digests():
+def _assert_iris_audit_pinned(epochs: int, noise: NoiseSpec, pinned: dict):
     cfg = AuditConfig(n=64, K=16, d=0.1, model=ModelSpec(qubits=4, ansatz_reps=3),
-                      train=TrainConfig(epochs=100, learning_rate=0.1),
-                      noise=NoiseSpec.none(), seed=0)
+                      train=TrainConfig(epochs=epochs, learning_rate=0.1),
+                      noise=noise, seed=0)
     report = qc.audit(cfg, qc.load_iris_binary(), workers=1)
     x, y = (hashlib.sha256(np.ascontiguousarray(m, dtype=np.uint8).tobytes()).hexdigest()[:16]
             for m in (report.trials.x, report.trials.y))
-    assert (x, y) == (PINNED_ACCEPTANCE_AUDIT["x"], PINNED_ACCEPTANCE_AUDIT["y"])
-    assert report.estimate.epsilon_hat == PINNED_ACCEPTANCE_AUDIT["epsilon_hat"]
-    assert report.kappa == PINNED_ACCEPTANCE_AUDIT["kappa"]
+    assert (x, y) == (pinned["x"], pinned["y"])
+    assert report.estimate.epsilon_hat == pinned["epsilon_hat"]
+    assert report.kappa == pinned["kappa"]
+
+
+def test_acceptance_audit_reproduces_its_digests():
+    _assert_iris_audit_pinned(100, NoiseSpec.none(), PINNED_ACCEPTANCE_AUDIT)
+
+
+def test_per_qubit_audit_reproduces_its_digests():
+    _assert_iris_audit_pinned(15, NoiseSpec.depolarizing(0.05, scope="per_qubit"),
+                              PINNED_PERQUBIT_AUDIT)
 
 
 _ONE_AUDIT = """

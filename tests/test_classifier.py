@@ -9,10 +9,11 @@ import pytest
 
 import qcanary as qc
 from qcanary import ModelSpec, NoiseSpec, TrainConfig, TrainedModel
-from qcanary.classifier import (_engine_for, _GradientStep, _observables, _stack_states,
+from qcanary.classifier import (_engine_for, _GradientStep, _readout_rows, _stack_states,
                                 _train_stack, loss_gradient, mean_loss)
-from qcanary.circuits import (Gate, _gate_unitary, apply_circuit_density, build_real_amplitudes,
-                              expectation, parameter_shift_gradient, z_on_qubit)
+from qcanary.circuits import (Gate, _gate_unitary, apply_circuit_density, apply_circuit_pure,
+                              build_real_amplitudes, expectation, parameter_shift_gradient,
+                              z_on_qubit)
 from qcanary.encoding import _encode_rows
 from qcanary.noise import _depolarize_qubit_mat
 from qcanary.states import pure_to_density
@@ -269,15 +270,18 @@ def _allocating_step(engine, states, labels, noise, theta):
         M[:, layer] = C @ after[layer]
     loss = -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
     traces = (engine.sign * M[..., engine.flip, np.arange(engine.dim)]).sum(axis=-1)
-    return loss.mean(axis=-1), traces.reshape(S, -1)
+    return loss.mean(axis=-1), traces.reshape(S, -1), p
 
 
 @pytest.mark.parametrize("noise", [NoiseSpec.none(), NoiseSpec.depolarizing(0.3)])
 def test_gradient_step_matches_allocating_step(rng, noise):
-    # the step's buffers, its one-log loss, its layer table and its walk
-    # back change no operation and no order, so every loss keeps its bits.
-    # Its slots are read before each layer's rotation, a different product
-    # of the same matrices, so gradients agree to rounding
+    # the step reads p as ||R_0 psi||^2 where the reference reads
+    # (1 + psi^T A psi)/2, and its slots through dim/2 rows and columns
+    # where the reference walks whole observables: the same quantities by
+    # other products of the same layers. dL/dp = +-1/q magnifies their
+    # rounding as a prediction nears the clamp, so each model's bound
+    # follows its conditioning, q the reference's label probabilities
+    eps = np.finfo(float).eps
     for qubits, reps, S in itertools.product(range(1, 6), range(1, 4), (1, 3, 32)):
         engine = _engine_for(ModelSpec(qubits=qubits, ansatz_reps=reps))
         B = 7 if S == 32 else 13
@@ -288,12 +292,12 @@ def test_gradient_step_matches_allocating_step(rng, noise):
         step = _GradientStep(engine, states, labels, noise)
         for epoch in range(20):
             loss, grad = step(theta)
-            want_loss, want_grad = _allocating_step(engine, states, labels, noise, theta)
-            assert np.array_equal(loss.view(np.int64), want_loss.view(np.int64)), \
-                (qubits, reps, S, epoch)
-            np.testing.assert_allclose(grad, want_grad, rtol=0,
-                                       atol=1e-12 * max(1.0, np.abs(want_grad).max()),
-                                       err_msg=f"{(qubits, reps, S, epoch)}")
+            want_loss, want_grad, p = _allocating_step(engine, states, labels, noise, theta)
+            q = np.where(labels == 1.0, p, 1.0 - p)
+            where = (qubits, reps, S, epoch)
+            assert np.all(np.abs(loss - want_loss) <= 64 * eps * (1.0 / q).mean(axis=-1)), where
+            assert np.all(np.abs(grad - want_grad).max(axis=-1)
+                          <= 64 * eps * (1.0 / q**2).mean(axis=-1)), where
             theta = theta - 0.3 * grad
 
 
@@ -313,6 +317,39 @@ def test_generator_traces_read_the_cx_permuted_generators(rng):
                           for V, Yl in zip(layers[s], Y[s]) for Gq in G] for s in range(S)])
         np.testing.assert_allclose(engine.generator_traces(Y), want, rtol=0, atol=1e-13,
                                    err_msg=f"{qubits} qubits, {reps} reps")
+
+
+def test_walk_back_keeps_the_readout_rows(rng):
+    # R_l = E V_{L-1} ... V_l is the top half of the dense product of the
+    # layers; through R_0 the readout observable U^T Z U is 2 R_0^T R_0 - I,
+    # and the read's p is the Born rule of the pure-state circuit walk
+    for qubits, reps in itertools.product(range(1, 6), range(1, 4)):
+        spec = ModelSpec(qubits=qubits, ansatz_reps=reps)
+        engine, S, L, dim, half = _engine_for(spec), 3, reps + 1, spec.dim, spec.dim // 2
+        circuit = build_real_amplitudes(qubits, reps)
+        theta = rng.uniform(-np.pi, np.pi, size=(S, spec.param_count))
+        layers = engine.layers(theta)
+        rows = engine.walk_back(layers)
+        assert rows.shape == (S, L, half, dim)
+        encoded = [qc.angle_encode(rng.uniform(0, 1, qubits)) for _ in range(5)]
+        states = np.broadcast_to(_stack_states(encoded, dim), (S, dim, len(encoded)))
+        p = engine.read(rows[:, 0], NoiseSpec.none(), states)
+        for s in range(S):
+            where = f"{qubits} qubits, {reps} reps, model {s}"
+            product = np.eye(dim)
+            for layer in range(L - 1, -1, -1):
+                product = product @ layers[s, layer]
+                np.testing.assert_allclose(rows[s, layer], product[:half], rtol=0, atol=1e-13,
+                                           err_msg=f"{where}, layer {layer}")
+            U = np.eye(dim)
+            for gate in circuit.gates:
+                U = _gate_unitary(gate, circuit, theta[s]).real @ U
+            np.testing.assert_allclose(2.0 * rows[s, 0].T @ rows[s, 0] - np.eye(dim),
+                                       U.T @ z_on_qubit(qubits).real @ U, rtol=0, atol=1e-13,
+                                       err_msg=where)
+            want = [np.sum(np.abs(apply_circuit_pure(circuit, theta[s], st).amps[:half]) ** 2)
+                    for st in encoded]
+            np.testing.assert_allclose(p[s], want, rtol=0, atol=1e-12, err_msg=where)
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
@@ -434,7 +471,7 @@ def test_engine_is_real(rng):
 
     model = qc.train(real, labels, spec, cfg)
     assert model.params.dtype == np.float64
-    assert _observables(spec, model.params, spec.noise).dtype == np.float64
+    assert _readout_rows(spec, model.params).dtype == np.float64
     twin_model = qc.train(twins, labels, spec, cfg)
     assert np.array_equal(twin_model.params, model.params)
     assert np.array_equal(qc.evaluate_losses(model, twins, labels),
