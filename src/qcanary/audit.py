@@ -34,13 +34,14 @@ unchanged. A pooled audit runs its first blocks in the calling process.
 from __future__ import annotations
 
 import math
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from statistics import NormalDist
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily, at an audit's first draw)
 
 from .classifier import (ModelSpec, TrainConfig, _read_losses, _readout_rows, _stack_states,
                          _train_stack, eval_model, evaluate_losses, train)
@@ -547,6 +548,17 @@ def _evaluate_block(config: AuditConfig, models: list, states: np.ndarray,
     return [list(losses[t::T]) for t in range(T)]
 
 
+def __getattr__(name: str):
+    """The pool class, imported on first use (PEP 562): concurrent.futures
+    is about 8 ms of `import qcanary`, and only a pooled audit needs it.
+    audit() looks it up as a module attribute, so a replacement set on the
+    module is the one it starts."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _median(values) -> float:
     """np.median of the values, to the bit, without its NaN check, which
     imports numpy.ma (about 5 ms, paid by every CLI process). The same
@@ -656,7 +668,7 @@ def audit(config: AuditConfig, dataset: Dataset, workers: int = 1) -> AuditRepor
         # are blocks to hand out
         busy = min(workers, len(blocks))
         share = len(blocks) // busy
-        with ProcessPoolExecutor(max_workers=busy - 1) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=busy - 1) as pool:
             rest = pool.map(run_block, blocks[share:])
             done = [run_block(block) for block in blocks[:share]] + list(rest)
     else:

@@ -26,10 +26,11 @@ layer's slots are read before its rotation, through the generators the CX
 chain permutes. One step advances all S models: model s sees only its own
 slice of every stacked matmul, so a stack trains each model to the same
 bits as training it alone, and a single model is the S = 1 case. A
-training run allocates the arrays an epoch writes once; only the layer
-table's small temporaries are made anew each epoch. RY encodings, RY, CX
-and the projector are all real, so everything runs in float64. The
-circuits module is the reference these paths are tested against.
+training run allocates the arrays an epoch writes once, and an epoch
+writes its late products into the buffers of early ones it no longer
+reads, so a stack spans less memory. RY encodings, RY, CX and the
+projector are all real, so everything runs in float64. The circuits
+module is the reference these paths are tested against.
 """
 
 from __future__ import annotations
@@ -123,8 +124,9 @@ class _Engine:
         # rows as flat offsets into one model's (L, dim, dim) stack
         L = reps + 1
         rows = np.argsort(perm, axis=1)[np.arange(L)[:, None], self.flip[:, perm].T]
-        self.generator_offsets = (np.arange(L)[:, None] * self.dim + rows) * self.dim \
-            + idx[:, None, None]
+        # C order, or np.take copies them on every call
+        self.generator_offsets = np.ascontiguousarray(
+            (np.arange(L)[:, None] * self.dim + rows) * self.dim + idx[:, None, None])
         self.generator_signs = self.sign[:, perm].T.copy()
 
     def _layer_columns(self) -> np.ndarray:
@@ -157,7 +159,16 @@ class _Engine:
         negated = sum((minus_sin >> q) & 1 for q in range(self.n)) & 1
         return (np.arange(L)[:, None, None] * 2 + negated) * dim + (rows ^ cols)
 
-    def layers(self, theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def layer_buffers(self, S: int) -> tuple:
+        """layers' working arrays for S models: the (2, S L, n) cos and sin
+        of the half angles, the (2, dim S L) pair the products alternate
+        between, and the (S, L, 2, dim) table."""
+        SL = S * (self.reps + 1)
+        return (np.empty((2, SL, self.n)), np.empty((2, self.dim * SL)),
+                np.empty((S, self.reps + 1, 2, self.dim)))
+
+    def layers(self, theta: np.ndarray, out: np.ndarray | None = None,
+               buffers: tuple | None = None) -> np.ndarray:
         """(S, P) parameter vectors -> (S, reps + 1, dim, dim): per model,
         the first RY layer, then each later RY layer times the CX chain
         before it, written to out when given.
@@ -169,16 +180,20 @@ class _Engine:
         transposed copy lays them out per model. One gather through
         _table_index then places every entry, chain included. Negation is
         exact, so every entry has the bits of the np.kron reference, signed
-        zeros included.
+        zeros included. buffers are the layer_buffers of theta's stack,
+        made here when not given.
         """
         S, L, n, dim = theta.shape[0], self.reps + 1, self.n, self.dim
-        half = np.reshape(theta, (S, L, n)) / 2.0
-        factors = np.stack([np.cos(half), np.sin(half)]).reshape(2, S * L, n)
+        factors, work, table = self.layer_buffers(S) if buffers is None else buffers
+        np.divide(np.reshape(theta, (S * L, n)), 2.0, out=factors[1])
+        np.cos(factors[1], out=factors[0])
+        np.sin(factors[1], out=factors[1])
         products = factors[..., 0]  # (2**(q + 1), S L) after qubit q
         for q in range(1, n):
-            products = (products[:, None] * factors[None, ..., q]).reshape(-1, S * L)
-        table = np.empty((S, L, 2, dim))
-        table[:, :, 0] = products.T.reshape(S, L, dim)
+            into = work[q % 2, :2**(q + 1) * S * L].reshape(2**q, 2, S * L)
+            products = np.multiply(products[:, None], factors[None, ..., q], out=into)
+            products = products.reshape(-1, S * L)
+        np.copyto(table[:, :, 0], products.T.reshape(S, L, dim))
         np.negative(table[:, :, 0], out=table[:, :, 1])
         # the indices are in range by construction; mode="clip" writes
         # straight into out, where "raise" would fill a copy first
@@ -240,7 +255,7 @@ class _Engine:
                     if rng is None:
                         raise ValueError("finite-shot evaluation needs an explicit rng")
                     p[s] = rng.binomial(noise.shots, np.clip(p[s], 0.0, 1.0)) / noise.shots
-        return np.clip(p, P_CLAMP, 1.0 - P_CLAMP, out=p)
+        return np.minimum(np.maximum(p, P_CLAMP, out=p), 1.0 - P_CLAMP, out=p)
 
     def depolarize_qubit(self, A: np.ndarray, q: int, p: float) -> np.ndarray:
         """The depolarizing channel on qubit q, applied to each real (S, dim,
@@ -255,15 +270,20 @@ class _Engine:
         flipped = A[:, f[:, None], f]
         return (1.0 - p) * A + w * flipped + w * (signs * flipped) + w * (signs * A)
 
-    def trace_buffers(self, S: int) -> tuple:
-        """generator_traces' arrays for S models: the (dim, S, L, n) flat
-        indices of its gather into an (S, L, dim, dim) stack, the entries'
-        signs in full so they apply in one contiguous pass, the gather's
-        buffer and the (S, P) traces."""
+    def trace_buffers(self, S: int, scratch: np.ndarray | None = None) -> tuple:
+        """generator_traces' arrays for S models: the (S, dim, L, n) buffer
+        of its gather and the (S, P) traces.
+
+        The gather buffer is the front of scratch when given. A gradient
+        step passes its (S, L, dim, dim/2) F stack, which the gather may
+        overwrite: F's last reader is the product Y = F R that the gather
+        reads, and dim/2 = 2**(n - 1) >= n, so F has room for it."""
         dim, (L, n) = self.dim, self.generator_offsets.shape[1:]
-        index = self.generator_offsets[:, None] + L * dim * dim * np.arange(S)[:, None, None]
-        signs = np.broadcast_to(self.generator_signs[:, None], index.shape).copy()
-        return index, signs, np.empty(index.shape), np.empty((S, L * n))
+        if scratch is None:
+            gathered = np.empty((S, dim, L, n))
+        else:
+            gathered = scratch.reshape(-1)[:S * dim * L * n].reshape(S, dim, L, n)
+        return gathered, np.empty((S, L * n))
 
     def generator_traces(self, Y: np.ndarray, out: tuple | None = None) -> np.ndarray:
         """2 tr(P_l^T G_q P_l Y_l) for every layer l and qubit q, in slot
@@ -273,12 +293,14 @@ class _Engine:
         The CX-permuted generator has one nonzero, +-1/2, in each row a, so
         each trace is dim signed entries of Y_l, one from each column a
         (tabled in __init__). out is the trace_buffers of Y's stack, made
-        here when not given. The gather puts a outermost, so the sum over a
-        adds whole (S, L, n) slices in column order."""
-        index, signs, gathered, traces = self.trace_buffers(Y.shape[0]) if out is None else out
-        np.take(Y, index, out=gathered, mode="clip")
-        np.multiply(gathered, signs, out=gathered)
-        np.add.reduce(gathered, axis=0, out=traces.reshape(gathered.shape[1:]))
+        here when not given. Each model gathers its own (dim, L, n) block,
+        a outermost, the signs apply to every model's block alike, and the
+        sum over a adds whole (L, n) slices in column order."""
+        S = Y.shape[0]
+        gathered, traces = self.trace_buffers(S) if out is None else out
+        np.take(Y.reshape(S, -1), self.generator_offsets, axis=1, out=gathered, mode="clip")
+        np.multiply(gathered, self.generator_signs, out=gathered)
+        np.add.reduce(gathered, axis=1, out=traces.reshape(S, *gathered.shape[2:]))
         return traces
 
 
@@ -438,11 +460,14 @@ class _GradientStep:
     per model (and layer), of a shape that does not depend on S.
 
     The loss is -ln q, q the probability of the model's label (_bce), so
-    dL/dp is -1/q or 1/q. Every array an epoch writes, but the small
-    temporaries of _Engine.layers, is allocated once, here. Freed and
-    allocated again on every step, arrays this large go back to the OS
-    and fault in anew each time. The returned losses and gradients are
-    such buffers too, overwritten by the next call.
+    dL/dp is -1/q or 1/q. Every array an epoch writes is allocated once,
+    here: freed and allocated again on every step, arrays this large go
+    back to the OS and fault in anew each time. Two of them hold two
+    things in turn. The layer stack holds the V_l until the walk forward,
+    their last reader, and then Y, which has its (S, L, dim, dim) shape.
+    F is dead once Y is made, and the trace gather writes into it
+    (_Engine.trace_buffers). The returned losses and gradients are
+    buffers too, overwritten by the next call.
     """
 
     def __init__(self, engine: _Engine, states: np.ndarray, labels: np.ndarray,
@@ -452,19 +477,19 @@ class _GradientStep:
         self.engine, self.states, self.noise = engine, states, noise
         self.label_one = labels == 1.0
         self.dldp_sign = np.where(self.label_one, -1.0, 1.0)  # dL/dp = -1/q or 1/q
-        self.layers = np.empty((S, L, dim, dim))
+        self.table = engine.layer_buffers(S)
+        self.layers = np.empty((S, L, dim, dim))  # the layers V_l, then Y_l
         self.rows = np.empty((S, L, half, dim))
         self.T = np.empty((S, half, B))  # R_0 psi, then w R_0 psi
         self.p, self.q, self.w = np.empty((3, S, B))
         self.loss = np.empty(S)
         self.F = np.empty((S, L, dim, half))
-        self.Y = np.empty_like(self.layers)
-        self.traces = engine.trace_buffers(S)
+        self.traces = engine.trace_buffers(S, scratch=self.F)
 
     def __call__(self, theta: np.ndarray):
         engine, states, F = self.engine, self.states, self.F
         B = states.shape[-1]
-        layers = engine.layers(theta, out=self.layers)
+        layers = engine.layers(theta, out=self.layers, buffers=self.table)
         rows = engine.walk_back(layers, out=self.rows)
         p = engine.read(rows[:, 0], self.noise, states, T=self.T, out=self.p)
         q = _label_probs(p, self.label_one, out=self.q)
@@ -476,7 +501,8 @@ class _GradientStep:
         np.matmul(states, weighted.transpose(0, 2, 1), out=F[:, 0])
         for layer in range(layers.shape[1] - 1):
             np.matmul(layers[:, layer], F[:, layer], out=F[:, layer + 1])
-        Y = np.matmul(F, rows, out=self.Y)
+        # the walk forward was the layers' last reader
+        Y = np.matmul(F, rows, out=layers)
         return self.loss, engine.generator_traces(Y, out=self.traces)
 
 
@@ -516,7 +542,7 @@ def _train_stack(states: np.ndarray, labels: np.ndarray, spec: ModelSpec,
     log = np.empty((len(seeds), cfg.epochs))
     for epoch in range(cfg.epochs):
         log[:, epoch], grad = step(theta)
-        theta = theta - cfg.learning_rate * grad
+        theta -= np.multiply(cfg.learning_rate, grad, out=grad)
 
     return [TrainedModel(spec=spec, params=t, train_log=l) for t, l in zip(theta, log)]
 

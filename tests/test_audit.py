@@ -368,20 +368,32 @@ cfg = AuditConfig(n=4, K=3, d=0.1, model=ModelSpec(qubits=3, ansatz_reps=2),
                   train=TrainConfig(epochs=8), noise=NoiseSpec.none(), seed=17,
                   kappa_rule="calibrated_median")
 qc.audit(cfg, qc.synth_gaussians(3, 20, 2.5, np.random.default_rng(99)))
-print("numpy.ma" in sys.modules)
+print(sys.argv[1] in sys.modules)
 """
+
+
+def _loaded_by_one_audit(module: str) -> bool:
+    """Whether `import qcanary` and one workers=1 audit, in a fresh
+    process, load the module."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", _ONE_AUDIT, module], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout.split()[-1] == "True"
 
 
 def test_one_audit_does_not_import_numpy_ma():
     # np.median imports numpy.ma for its NaN check, about 5 ms that every
     # CLI process, one audit each, would pay; both medians of an audit
     # (calibration and the reported kappa) avoid it
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", _ONE_AUDIT], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.split()[-1] == "False"
+    assert not _loaded_by_one_audit("numpy.ma")
+
+
+def test_one_audit_does_not_import_the_pool():
+    # concurrent.futures is about 8 ms of `import qcanary`, paid by every
+    # CLI process; only a pooled audit loads it
+    assert not _loaded_by_one_audit("concurrent.futures")
 
 
 def test_median_matches_numpy_bit_for_bit(rng):

@@ -412,6 +412,34 @@ def test_first_training_call_in_a_process_faults_only_its_buffers():
     assert faults < 20 * 100, faults
 
 
+def test_warm_gradient_step_allocates_no_arrays(rng):
+    # an audit block's stack. After its first call a step writes every
+    # array into its own buffers; what a warm call still allocates is
+    # numpy's iteration state, under 2 KiB at any moment once the ufunc
+    # iteration buffers are shrunk to 16 elements. Any per-epoch array of
+    # this stack is 4 KiB or more: (S, P) is, and so are the layer table's
+    import tracemalloc
+
+    spec, S, B = ModelSpec(qubits=4, ansatz_reps=3), 32, 116
+    rows = _encode_rows(rng.uniform(0, 1, size=(S * B, spec.qubits)))
+    states = np.ascontiguousarray(rows.reshape(S, B, spec.dim).transpose(0, 2, 1))
+    labels = rng.integers(0, 2, size=(S, B)).astype(float)
+    theta = rng.uniform(-0.1, 0.1, size=(S, spec.param_count))
+    for noise in (NoiseSpec.none(), NoiseSpec.depolarizing(0.3)):
+        step = _GradientStep(_engine_for(spec), states, labels, noise)
+        step(theta)  # warm-up
+        with np.errstate():  # restores the buffer size on exit
+            np.setbufsize(16)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                step(theta)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert peak < 4096, (noise.kind, peak)
+
+
 def test_engine_layers_match_kron_reference(rng):
     # per layer the Kronecker product of the RY matrices, qubit 0 most
     # significant, times the CX chain before it; the engine gathers where
