@@ -25,10 +25,12 @@ the parameter count: an RY layer commutes with its own generators, so each
 layer's slots are read before its rotation, through the generators the CX
 chain permutes. One step advances all S models: model s sees only its own
 slice of every stacked matmul, so a stack trains each model to the same
-bits as training it alone, and a single model is the S = 1 case. A
-training run allocates the arrays an epoch writes once, and an epoch
-writes its late products into the buffers of early ones it no longer
-reads, so a stack spans less memory. RY encodings, RY, CX and the
+bits as training it alone, and a single model is the S = 1 case. Each
+stack's epoch is laid out once as a _Plan, which owns every buffer the
+engine writes and every view it reads, so an engine call goes straight
+to numpy: a training run builds one plan for all its epochs, and an
+epoch writes its late products into the buffers of early ones it no
+longer reads, so a stack spans less memory. RY encodings, RY, CX and the
 projector are all real, so everything runs in float64. The circuits
 module is the reference these paths are tested against.
 """
@@ -124,10 +126,9 @@ class _Engine:
         # rows as flat offsets into one model's (L, dim, dim) stack
         L = reps + 1
         rows = np.argsort(perm, axis=1)[np.arange(L)[:, None], self.flip[:, perm].T]
-        # C order, or np.take copies them on every call
-        self.generator_offsets = np.ascontiguousarray(
-            (np.arange(L)[:, None] * self.dim + rows) * self.dim + idx[:, None, None])
-        self.generator_signs = self.sign[:, perm].T.copy()
+        self.generator_offsets = ((np.arange(L)[:, None] * self.dim + rows) * self.dim
+                                  + idx[:, None, None])
+        self.generator_signs = self.sign[:, perm].T
 
     def _layer_columns(self) -> np.ndarray:
         """(L, dim): the basis permutation P_l before each layer, the
@@ -159,19 +160,10 @@ class _Engine:
         negated = sum((minus_sin >> q) & 1 for q in range(self.n)) & 1
         return (np.arange(L)[:, None, None] * 2 + negated) * dim + (rows ^ cols)
 
-    def layer_buffers(self, S: int) -> tuple:
-        """layers' working arrays for S models: the (2, S L, n) cos and sin
-        of the half angles, the (2, dim S L) pair the products alternate
-        between, and the (S, L, 2, dim) table."""
-        SL = S * (self.reps + 1)
-        return (np.empty((2, SL, self.n)), np.empty((2, self.dim * SL)),
-                np.empty((S, self.reps + 1, 2, self.dim)))
-
-    def layers(self, theta: np.ndarray, out: np.ndarray | None = None,
-               buffers: tuple | None = None) -> np.ndarray:
-        """(S, P) parameter vectors -> (S, reps + 1, dim, dim): per model,
-        the first RY layer, then each later RY layer times the CX chain
-        before it, written to out when given.
+    def layers(self, plan: "_Plan", theta: np.ndarray) -> np.ndarray:
+        """The plan's (S, P) parameter vectors -> its (S, reps + 1, dim, dim)
+        layer stack: per model, the first RY layer, then each later RY layer
+        times the CX chain before it.
 
         Each layer's table holds its dim products of one cos or sin per
         qubit, multiplied in qubit order as np.kron multiplies them, and
@@ -180,76 +172,66 @@ class _Engine:
         transposed copy lays them out per model. One gather through
         _table_index then places every entry, chain included. Negation is
         exact, so every entry has the bits of the np.kron reference, signed
-        zeros included. buffers are the layer_buffers of theta's stack,
-        made here when not given.
+        zeros included.
         """
-        S, L, n, dim = theta.shape[0], self.reps + 1, self.n, self.dim
-        factors, work, table = self.layer_buffers(S) if buffers is None else buffers
-        np.divide(np.reshape(theta, (S * L, n)), 2.0, out=factors[1])
-        np.cos(factors[1], out=factors[0])
-        np.sin(factors[1], out=factors[1])
-        products = factors[..., 0]  # (2**(q + 1), S L) after qubit q
-        for q in range(1, n):
-            into = work[q % 2, :2**(q + 1) * S * L].reshape(2**q, 2, S * L)
-            products = np.multiply(products[:, None], factors[None, ..., q], out=into)
-            products = products.reshape(-1, S * L)
-        np.copyto(table[:, :, 0], products.T.reshape(S, L, dim))
-        np.negative(table[:, :, 0], out=table[:, :, 1])
+        np.divide(theta, 2.0, out=plan.half_angles)
+        np.cos(plan.sines, out=plan.cosines)
+        np.sin(plan.sines, out=plan.sines)
+        for source, factor, into in plan.products:
+            np.multiply(source, factor, out=into)
+        np.copyto(plan.table_pos, plan.products_T)
+        np.negative(plan.table_pos, out=plan.table_neg)
         # the indices are in range by construction; mode="clip" writes
         # straight into out, where "raise" would fill a copy first
-        return np.take(table.reshape(S, -1), self.gather, axis=1, out=out, mode="clip")
+        return plan.flat_table.take(self.gather, axis=1, out=plan.layers, mode="clip")
 
-    def walk_back(self, layers: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def walk_back(self, plan: "_Plan") -> np.ndarray:
         """The readout's rows walked back through each model's ansatz, last
-        layer first.
+        layer first, from the plan's layer stack into its row stack.
 
         Returns the (S, L, dim/2, dim) stack R_l = E V_{L-1} ... V_l, E the
         first dim/2 rows of the identity, so that the readout projector seen
         just before layer l is R_l^T R_l and p = ||R_0 psi||^2 (read).
         R_{L-1} is the top half of V_{L-1}, and R_l = R_{l+1} V_l: one
         (dim/2 x dim)(dim x dim) GEMM per layer and model, with no
-        transposed operand. Written to out when given. The walk is
-        noiseless; every channel acts at the read.
+        transposed operand. The walk is noiseless; every channel acts at
+        the read.
         """
-        S, L, dim = layers.shape[:3]
-        if out is None:
-            out = np.empty((S, L, dim // 2, dim))
-        out[:, L - 1] = layers[:, L - 1, :dim // 2]
-        for layer in range(L - 2, -1, -1):
-            np.matmul(out[:, layer + 1], layers[:, layer], out=out[:, layer])
-        return out
+        np.copyto(plan.rows_last, plan.layers_top)
+        for a, b, out in plan.walk_back:
+            np.matmul(a, b, out=out)
+        return plan.rows
 
-    def read(self, rows: np.ndarray, noise: NoiseSpec, states: np.ndarray, draws=(),
-             T: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    def read(self, plan: "_Plan", noise: NoiseSpec, states: np.ndarray, draws=()) -> np.ndarray:
         """p[s, b], the clamped probability that model s, whose readout rows
-        are rows[s] = R_0 (walk_back), reads class 1 from column b of
-        states[s] under noise: (S, dim/2, dim) and (S, dim, B) -> (S, B),
-        written to out when given.
+        are plan.readout[s] = R_0 (walk_back), reads class 1 from column b
+        of states[s] under noise: (S, dim/2, dim) and (S, dim, B) -> the
+        plan's (S, B) p.
 
         This is the one place noise touches the engine. Noiseless, p is the
-        Born rule, sum_i T_ib^2 with T = R_0 psi, written to T when given,
-        an (S, dim/2, B) buffer. The global channel mixes each state with
-        I/dim, which the rank-dim/2 projector reads as 1/2, so p becomes
-        (1 - p_n) p + p_n/2. A per-qubit channel is a Pauli channel, its own
-        adjoint, so it acts on the observable the states see, A = U^T Z U =
-        2 R_0^T R_0 - I, as depolarize_qubit's gathers, and p = (1 + psi^T A
-        psi)/2; only this path builds A, and it leaves T unwritten. Under
-        shots p of model s becomes the share of outcome 0 in a binomial
-        count drawn from its exact p with rng, for each (s, rng) in draws
-        in that order, so a model read in a stack draws what it draws read
-        alone.
+        Born rule, sum_i T_ib^2 with T = R_0 psi, the plan's (S, dim/2, B)
+        T. The global channel mixes each state with I/dim, which the
+        rank-dim/2 projector reads as 1/2, so p becomes (1 - p_n) p +
+        p_n/2. A per-qubit channel is a Pauli channel, its own adjoint, so
+        it acts on the observable the states see, A = U^T Z U = 2 R_0^T R_0
+        - I, as depolarize_qubit's gathers, and p = (1 + psi^T A psi)/2;
+        only this path builds A, and it leaves T unwritten. Under shots p
+        of model s becomes the share of outcome 0 in a binomial count drawn
+        from its exact p with rng, for each (s, rng) in draws in that
+        order, so a model read in a stack draws what it draws read alone.
         """
+        rows, p = plan.readout, plan.p
         if noise.kind == "depolarizing" and noise.scope == "per_qubit":
             A = 2.0 * np.matmul(rows.transpose(0, 2, 1), rows) - np.eye(self.dim)
             for q in range(self.n):
                 A = self.depolarize_qubit(A, q, noise.p)
-            p = np.einsum("sib,sib->sb", states, np.matmul(A, states), out=out)
-            p = np.divide(np.add(1.0, p, out=p), 2.0, out=p)
+            np.einsum("sib,sib->sb", states, np.matmul(A, states), out=p)
+            np.divide(np.add(1.0, p, out=p), 2.0, out=p)
         else:
-            T = np.matmul(rows, states, out=T)
-            p = np.einsum("sib,sib->sb", T, T, out=out)
+            T = np.matmul(rows, states, out=plan.T)
+            np.einsum("sib,sib->sb", T, T, out=p)
             if noise.kind == "depolarizing":
-                p = np.add(np.multiply(1.0 - noise.p, p, out=p), noise.p / 2.0, out=p)
+                np.add(np.multiply(1.0 - noise.p, p, out=p), noise.p / 2.0, out=p)
             elif noise.kind == "measurement_shots":
                 for s, rng in draws:
                     if rng is None:
@@ -270,38 +252,99 @@ class _Engine:
         flipped = A[:, f[:, None], f]
         return (1.0 - p) * A + w * flipped + w * (signs * flipped) + w * (signs * A)
 
-    def trace_buffers(self, S: int, scratch: np.ndarray | None = None) -> tuple:
-        """generator_traces' arrays for S models: the (S, dim, L, n) buffer
-        of its gather and the (S, P) traces.
-
-        The gather buffer is the front of scratch when given. A gradient
-        step passes its (S, L, dim, dim/2) F stack, which the gather may
-        overwrite: F's last reader is the product Y = F R that the gather
-        reads, and dim/2 = 2**(n - 1) >= n, so F has room for it."""
-        dim, (L, n) = self.dim, self.generator_offsets.shape[1:]
-        if scratch is None:
-            gathered = np.empty((S, dim, L, n))
-        else:
-            gathered = scratch.reshape(-1)[:S * dim * L * n].reshape(S, dim, L, n)
-        return gathered, np.empty((S, L * n))
-
-    def generator_traces(self, Y: np.ndarray, out: tuple | None = None) -> np.ndarray:
+    def generator_traces(self, plan: "_Plan") -> np.ndarray:
         """2 tr(P_l^T G_q P_l Y_l) for every layer l and qubit q, in slot
-        order, as a signed gather over the real (S, layers, dim, dim) stack
-        Y -> (S, P).
+        order, as a signed gather over the plan's real (S, layers, dim, dim)
+        stack Y -> its (S, P) traces.
 
         The CX-permuted generator has one nonzero, +-1/2, in each row a, so
         each trace is dim signed entries of Y_l, one from each column a
-        (tabled in __init__). out is the trace_buffers of Y's stack, made
-        here when not given. Each model gathers its own (dim, L, n) block,
-        a outermost, the signs apply to every model's block alike, and the
-        sum over a adds whole (L, n) slices in column order."""
-        S = Y.shape[0]
-        gathered, traces = self.trace_buffers(S) if out is None else out
-        np.take(Y.reshape(S, -1), self.generator_offsets, axis=1, out=gathered, mode="clip")
-        np.multiply(gathered, self.generator_signs, out=gathered)
-        np.add.reduce(gathered, axis=1, out=traces.reshape(S, *gathered.shape[2:]))
-        return traces
+        (tabled in __init__). The gather takes them with a outermost and
+        the models inside, (dim, S, L n), the signs apply elementwise, and
+        the sum over a adds whole (S, L n) slices in column order (_Plan).
+        """
+        gathered = plan.gathered
+        plan.flat_Y.take(plan.trace_index, out=gathered, mode="clip")
+        np.multiply(gathered, plan.trace_signs, out=gathered)
+        return np.add.reduce(gathered, axis=0, out=plan.traces)
+
+
+class _Plan:
+    """One stack's epoch, laid out once: every buffer the engine writes for
+    S models on B states and every view it reads, so that _Engine.layers,
+    walk_back, read and generator_traces neither slice, reshape nor
+    allocate when called.
+
+    _readout_rows builds the layer and walk-back part, _read_losses the
+    read part on the readout rows it is given, and _GradientStep all of
+    it with the walk forward and the trace gather (gradient=True), once
+    for a whole training call. theta/2 goes into the half of the factor
+    buffer that then holds the sines, and each qubit's layer products
+    alternate between the two rows of work.
+
+    A gradient plan writes late products into buffers of early ones the
+    epoch no longer reads:
+    - Y = F R goes into the layer stack, whose (S, L, dim, dim) shape it
+      has: the walk forward, F_{l+1} = V_l F_l, is the last reader of V_l.
+    - The trace gather goes into the front of F: F's last reader is the
+      product Y = F R the gather reads, and dim S L n <= S L dim dim/2,
+      since n <= 2**(n - 1).
+    - w T goes into T, whose last reader is p's Born rule, and ln q into
+      p, whose last reader is q.
+
+    The trace gather reads Y through a flat index, s L dim^2 plus the
+    engine's generator offsets, into a (dim, S, L n) block, and the signs
+    are made at that full shape, so no operand broadcasts. Reducing axis 0
+    of that block adds its contiguous (S, L n) slices to the traces one a
+    at a time, in order: each trace is (((g_0 + g_1) + g_2) + ...), the
+    order of the per-model sum it replaces. numpy sums pairwise only
+    along a reduced axis that is the inner loop.
+    """
+
+    def __init__(self, engine: _Engine, S: int, B: int = 0, readout: np.ndarray | None = None,
+                 gradient: bool = False):
+        L, n, dim = engine.reps + 1, engine.n, engine.dim
+        half = dim // 2
+        if readout is None:
+            SL = S * L
+            factors = np.empty((2, SL, n))
+            self.cosines, self.sines = factors
+            self.half_angles = self.sines.reshape(S, L * n)
+            work = np.empty((2, dim * SL))
+            products, self.products = factors[..., 0], []  # (2**(q + 1), S L) after qubit q
+            for q in range(1, n):
+                into = work[q % 2, :2**(q + 1) * SL].reshape(2**q, 2, SL)
+                self.products.append((products[:, None], factors[None, ..., q], into))
+                products = into.reshape(-1, SL)
+            self.products_T = products.T.reshape(S, L, dim)
+            table = np.empty((S, L, 2, dim))
+            self.table_pos, self.table_neg = table[:, :, 0], table[:, :, 1]
+            self.flat_table = table.reshape(S, -1)
+            self.layers = np.empty((S, L, dim, dim))  # the layers V_l, then Y_l
+            self.rows = np.empty((S, L, half, dim))
+            self.rows_last, self.layers_top = self.rows[:, L - 1], self.layers[:, L - 1, :half]
+            self.walk_back = [(self.rows[:, layer + 1], self.layers[:, layer], self.rows[:, layer])
+                              for layer in range(L - 2, -1, -1)]
+            readout = self.rows[:, 0]
+        self.readout = readout
+        if B:
+            self.T = np.empty((S, half, B))  # R_0 psi, then w R_0 psi
+            self.p = np.empty((S, B))  # p, then ln q
+        if gradient:
+            self.T_t = self.T.transpose(0, 2, 1)
+            self.q, self.w = np.empty((2, S, B))
+            self.w_rows = self.w[:, None, :]
+            self.loss = np.empty(S)
+            self.F = np.empty((S, L, dim, half))
+            self.F0 = self.F[:, 0]
+            self.walk_forward = [(self.layers[:, layer], self.F[:, layer], self.F[:, layer + 1])
+                                 for layer in range(L - 1)]
+            self.flat_Y = self.layers.reshape(-1)
+            offsets = engine.generator_offsets.reshape(dim, 1, L * n)
+            self.trace_index = np.arange(S)[:, None] * (L * dim * dim) + offsets
+            self.trace_signs = np.repeat(engine.generator_signs.reshape(dim, 1, L * n), S, axis=1)
+            self.gathered = self.F.reshape(-1)[:dim * S * L * n].reshape(dim, S, L * n)
+            self.traces = np.empty((S, L * n))
 
 
 _engine_cache: dict = {}
@@ -337,11 +380,10 @@ def _stack_states(states, dim: int) -> np.ndarray:
     return np.ascontiguousarray(block, dtype=float)
 
 
-def _label_probs(p: np.ndarray, label_one: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """q, the probability p gives each label: p where label_one, else 1 - p."""
-    q = np.subtract(1.0, p, out=out)
-    np.copyto(q, p, where=label_one)
-    return q
+def _label_probs(p: np.ndarray, off: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """q, the probability p gives each label, with off = 1 - label: |off -
+    p|, which is exactly p for label 1 and 1 - p for label 0."""
+    return np.absolute(np.subtract(off, p, out=out), out=out)
 
 
 def _bce(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -350,7 +392,7 @@ def _bce(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
     This is -(labels ln p + (1 - labels) ln(1 - p)) to the bit: p is
     clamped away from 0 and 1, so the term a label drops is a signed zero
     added to a nonzero log, which is exact."""
-    return -np.log(_label_probs(p, labels == 1.0))
+    return -np.log(_label_probs(p, 1.0 - labels))
 
 
 def _binary_labels(labels) -> np.ndarray:
@@ -374,7 +416,11 @@ def _readout_rows(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
     """R_0 = E U_s, the (S, dim/2, dim) readout rows of the rows of the
     (S, P) params, from one walk back (_Engine.walk_back)."""
     engine = _engine_for(spec)
-    return engine.walk_back(engine.layers(np.reshape(params, (-1, spec.param_count))))[:, 0]
+    theta = np.reshape(params, (-1, spec.param_count))
+    plan = _Plan(engine, theta.shape[0])
+    engine.layers(plan, theta)
+    engine.walk_back(plan)
+    return plan.readout
 
 
 def _read_losses(spec: ModelSpec, rows: np.ndarray, noise: NoiseSpec, states: np.ndarray,
@@ -383,7 +429,9 @@ def _read_losses(spec: ModelSpec, rows: np.ndarray, noise: NoiseSpec, states: np
     rows[s], reads the columns of states[s] against labels[s] under noise,
     shots drawn as _Engine.read draws them. The callers check the labels:
     evaluate_losses and mean_loss check them, the audit generates its own."""
-    return _bce(_engine_for(spec).read(rows, noise, states, draws), labels)
+    engine = _engine_for(spec)
+    plan = _Plan(engine, rows.shape[0], states.shape[-1], readout=rows)
+    return _bce(engine.read(plan, noise, states, draws), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -460,50 +508,42 @@ class _GradientStep:
     per model (and layer), of a shape that does not depend on S.
 
     The loss is -ln q, q the probability of the model's label (_bce), so
-    dL/dp is -1/q or 1/q. Every array an epoch writes is allocated once,
-    here: freed and allocated again on every step, arrays this large go
-    back to the OS and fault in anew each time. Two of them hold two
-    things in turn. The layer stack holds the V_l until the walk forward,
-    their last reader, and then Y, which has its (S, L, dim, dim) shape.
-    F is dead once Y is made, and the trace gather writes into it
-    (_Engine.trace_buffers). The returned losses and gradients are
-    buffers too, overwritten by the next call.
+    dL/dp is -1/q or 1/q. Every array an epoch writes, and every view of
+    one it reads, is laid out once, here, in a _Plan: freed and allocated
+    again on every step, arrays this large go back to the OS and fault in
+    anew each time, and the slicing alone is much of a lone model's step.
+    The plan reuses dead buffers: Y goes into the layer stack and the
+    trace gather into F. The returned losses and gradients are buffers
+    too, overwritten by the next call.
     """
 
     def __init__(self, engine: _Engine, states: np.ndarray, labels: np.ndarray,
                  noise: NoiseSpec):
-        S, dim, B = states.shape
-        L, half = engine.reps + 1, dim // 2
+        S, _, B = states.shape
         self.engine, self.states, self.noise = engine, states, noise
-        self.label_one = labels == 1.0
-        self.dldp_sign = np.where(self.label_one, -1.0, 1.0)  # dL/dp = -1/q or 1/q
-        self.table = engine.layer_buffers(S)
-        self.layers = np.empty((S, L, dim, dim))  # the layers V_l, then Y_l
-        self.rows = np.empty((S, L, half, dim))
-        self.T = np.empty((S, half, B))  # R_0 psi, then w R_0 psi
-        self.p, self.q, self.w = np.empty((3, S, B))
-        self.loss = np.empty(S)
-        self.F = np.empty((S, L, dim, half))
-        self.traces = engine.trace_buffers(S, scratch=self.F)
+        self.plan = _Plan(engine, S, B, gradient=True)
+        self.off = 1.0 - labels
+        self.dldp_sign = np.where(labels == 1.0, -1.0, 1.0)  # dL/dp = -1/q or 1/q
+        self.B = B
 
     def __call__(self, theta: np.ndarray):
-        engine, states, F = self.engine, self.states, self.F
-        B = states.shape[-1]
-        layers = engine.layers(theta, out=self.layers, buffers=self.table)
-        rows = engine.walk_back(layers, out=self.rows)
-        p = engine.read(rows[:, 0], self.noise, states, T=self.T, out=self.p)
-        q = _label_probs(p, self.label_one, out=self.q)
+        engine, plan = self.engine, self.plan
+        engine.layers(plan, theta)
+        engine.walk_back(plan)
+        p = engine.read(plan, self.noise, self.states)
+        q = _label_probs(p, self.off, out=plan.q)
         # the mean of -ln q, as the sum of ln q over -B
-        np.add.reduce(np.log(q, out=self.p), axis=-1, out=self.loss)
-        np.divide(self.loss, -B, out=self.loss)
-        w = np.divide(np.divide(self.dldp_sign, q, out=self.w), B, out=self.w)
-        weighted = np.multiply(self.T, w[:, None, :], out=self.T)
-        np.matmul(states, weighted.transpose(0, 2, 1), out=F[:, 0])
-        for layer in range(layers.shape[1] - 1):
-            np.matmul(layers[:, layer], F[:, layer], out=F[:, layer + 1])
+        loss = np.add.reduce(np.log(q, out=p), axis=-1, out=plan.loss)
+        np.divide(loss, -self.B, out=loss)
+        w = np.divide(self.dldp_sign, q, out=plan.w)
+        np.divide(w, self.B, out=w)
+        np.multiply(plan.T, plan.w_rows, out=plan.T)
+        np.matmul(self.states, plan.T_t, out=plan.F0)
+        for a, b, out in plan.walk_forward:
+            np.matmul(a, b, out=out)
         # the walk forward was the layers' last reader
-        Y = np.matmul(F, rows, out=layers)
-        return self.loss, engine.generator_traces(Y, out=self.traces)
+        np.matmul(plan.F, plan.rows, out=plan.layers)
+        return loss, engine.generator_traces(plan)
 
 
 def train(states, labels, spec: ModelSpec, cfg: TrainConfig) -> TrainedModel:

@@ -9,8 +9,9 @@ import pytest
 
 import qcanary as qc
 from qcanary import ModelSpec, NoiseSpec, TrainConfig, TrainedModel
-from qcanary.classifier import (_engine_for, _GradientStep, _readout_rows, _stack_states,
-                                _train_stack, loss_gradient, mean_loss)
+from qcanary.classifier import (_bce, _engine_for, _GradientStep, _label_probs, _Plan,
+                                _readout_rows, _stack_states, _train_stack, loss_gradient,
+                                mean_loss, P_CLAMP)
 from qcanary.circuits import (Gate, _gate_unitary, apply_circuit_density, apply_circuit_pure,
                               build_real_amplitudes, expectation, parameter_shift_gradient,
                               z_on_qubit)
@@ -309,14 +310,51 @@ def test_generator_traces_read_the_cx_permuted_generators(rng):
     for qubits, reps in itertools.product(range(1, 6), range(1, 4)):
         engine = _engine_for(ModelSpec(qubits=qubits, ansatz_reps=reps))
         S, L, dim = 3, reps + 1, engine.dim
-        layers = engine.layers(rng.uniform(-np.pi, np.pi, size=(S, L * qubits)))
+        plan = _Plan(engine, S, 1, gradient=True)
+        layers = engine.layers(plan, rng.uniform(-np.pi, np.pi, size=(S, L * qubits))).copy()
         Y = rng.normal(size=(S, L, dim, dim))
+        plan.layers[...] = Y
         G = [np.kron(np.kron(np.eye(2**q), G1), np.eye(2**(qubits - 1 - q)))
              for q in range(qubits)]
         want = np.array([[2.0 * np.trace(Gq @ V @ Yl @ V.T)
                           for V, Yl in zip(layers[s], Y[s]) for Gq in G] for s in range(S)])
-        np.testing.assert_allclose(engine.generator_traces(Y), want, rtol=0, atol=1e-13,
+        np.testing.assert_allclose(engine.generator_traces(plan), want, rtol=0, atol=1e-13,
                                    err_msg=f"{qubits} qubits, {reps} reps")
+    # the order of the sum is pinned too: slot (l, q) adds its signed
+    # entries over the columns a one at a time, in order, as the per-model
+    # reduction did. A reduction along a contiguous last axis sums
+    # pairwise and changes the last bits from 3 qubits up
+    for qubits, S in itertools.product(range(1, 6), (1, 3, 32)):
+        engine = _engine_for(ModelSpec(qubits=qubits, ansatz_reps=2))
+        L, dim, P = 3, engine.dim, 3 * qubits
+        plan = _Plan(engine, S, 1, gradient=True)
+        plan.layers[...] = rng.normal(size=(S, L, dim, dim))
+        entries = (plan.layers.reshape(S, -1)[:, engine.generator_offsets]
+                   * engine.generator_signs).reshape(S, dim, P)
+        want = entries[:, 0].copy()
+        for a in range(1, dim):
+            want += entries[:, a]
+        got = engine.generator_traces(plan)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (qubits, S)
+
+
+def test_label_probs_need_no_mask(rng):
+    # q = |off - p| with off = 1 - label is p itself at label 1 and the
+    # rounded 1 - p at label 0, whatever the order of the labels; and the
+    # loss is the two-log binary cross-entropy bit for bit
+    for p in (np.full((3, 8), P_CLAMP), np.full((3, 8), 1.0 - P_CLAMP),
+              rng.uniform(P_CLAMP, 1.0 - P_CLAMP, size=(32, 116))):
+        shuffled = rng.integers(0, 2, size=p.shape).astype(float)
+        for labels in (np.sort(shuffled, axis=-1), shuffled):
+            label_one = labels == 1.0
+            want = np.where(label_one, p, 1.0 - p)
+            assert np.array_equal(_label_probs(p, 1.0 - labels).view(np.int64),
+                                  want.view(np.int64))
+            into = np.empty_like(p)
+            assert _label_probs(p, 1.0 - labels, out=into) is into
+            assert np.array_equal(into.view(np.int64), want.view(np.int64))
+            two_logs = -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
+            assert np.array_equal(_bce(p, labels).view(np.int64), two_logs.view(np.int64))
 
 
 def test_walk_back_keeps_the_readout_rows(rng):
@@ -328,12 +366,13 @@ def test_walk_back_keeps_the_readout_rows(rng):
         engine, S, L, dim, half = _engine_for(spec), 3, reps + 1, spec.dim, spec.dim // 2
         circuit = build_real_amplitudes(qubits, reps)
         theta = rng.uniform(-np.pi, np.pi, size=(S, spec.param_count))
-        layers = engine.layers(theta)
-        rows = engine.walk_back(layers)
-        assert rows.shape == (S, L, half, dim)
         encoded = [qc.angle_encode(rng.uniform(0, 1, qubits)) for _ in range(5)]
         states = np.broadcast_to(_stack_states(encoded, dim), (S, dim, len(encoded)))
-        p = engine.read(rows[:, 0], NoiseSpec.none(), states)
+        plan = _Plan(engine, S, len(encoded))
+        layers = engine.layers(plan, theta)
+        rows = engine.walk_back(plan)
+        assert rows.shape == (S, L, half, dim)
+        p = engine.read(plan, NoiseSpec.none(), states)
         for s in range(S):
             where = f"{qubits} qubits, {reps} reps, model {s}"
             product = np.eye(dim)
@@ -458,7 +497,8 @@ def test_engine_layers_match_kron_reference(rng):
         # cos +-pi/2, the nearest float to 0, and sin at its extremes
         theta = np.vstack([rng.uniform(-np.pi, np.pi, size=(3, P)), np.zeros(P),
                            rng.choice([0.0, np.pi, -np.pi], size=(2, P))])
-        got = _engine_for(ModelSpec(qubits=qubits, ansatz_reps=reps)).layers(theta)
+        engine = _engine_for(ModelSpec(qubits=qubits, ansatz_reps=reps))
+        got = engine.layers(_Plan(engine, len(theta)), theta)
         for s, layer in itertools.product(range(len(theta)), range(reps + 1)):
             want = np.ones((1, 1))
             for angle in theta[s, layer * qubits:(layer + 1) * qubits]:
