@@ -43,8 +43,9 @@ from statistics import NormalDist
 import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily, at an audit's first draw)
 
-from .classifier import (ModelSpec, TrainConfig, _read_losses, _readout_rows, _stack_states,
-                         _train_stack, eval_model, evaluate_losses, train)
+from .classifier import (ModelSpec, TrainConfig, _init_params, _per_qubit, _read_losses,
+                         _readout_rows, _stack_states, _train_stack, eval_model,
+                         evaluate_losses, train)
 from .data import Dataset
 from .encoding import OffsetSpec, _encode_rows, sample_offsets
 from .encoding import angle_encode, angle_encode_offset  # noqa: F401  (bench traces them as encoding.encode)
@@ -102,15 +103,15 @@ class AuditConfig:
             raise ValueError(f"offset tail probability {self.delta_conf} not in (0, 1)")
         if not 0.0 < self.theory_delta < 1.0:
             raise ValueError(f"theory_delta {self.theory_delta} not in (0, 1)")
-        if self.theory_r < 0:
-            raise ValueError(f"projector rank {self.theory_r} must be nonnegative")
+        if self.theory_r < 1:  # rank 0 would give a ceiling of 0 for a mechanism that leaks
+            raise ValueError(f"projector rank {self.theory_r} must be at least 1")
         if self.kappa_rule not in KAPPA_RULES:
             raise ValueError(f"unknown kappa rule {self.kappa_rule!r}")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} must be nonnegative")
-        if self.model.noise.kind == "depolarizing" and self.model.noise.scope == "per_qubit":
+        if _per_qubit(self.model.noise):
             raise ValueError("training under per-qubit depolarizing noise is not supported; "
                              "use global scope or evaluate noise at audit time only")
 
@@ -256,10 +257,15 @@ def betting_lower(matrix, eta: float) -> float:
     means = _check_indicator_matrix(matrix).mean(axis=1)
     bets = _plugin_bets(means, eta)
     threshold = math.log(1.0 / eta)
+    # each test writes into these two buffers, in the order of
+    # max(cumsum(log1p(stake * (means - m))))
+    stakes, capital = np.empty((2, means.shape[0]))
 
     def rejected(m: float) -> bool:
-        stake = bets if m == 0.0 else np.minimum(bets, BET_CLIP / m)
-        return np.cumsum(np.log1p(stake * (means - m))).max() >= threshold
+        stake = bets if m == 0.0 else np.minimum(bets, BET_CLIP / m, out=stakes)
+        np.subtract(means, m, out=capital)
+        np.log1p(np.multiply(stake, capital, out=capital), out=capital)
+        return np.maximum.reduce(np.add.accumulate(capital, out=capital)) >= threshold
 
     p_hat = float(means.mean())
     if not rejected(0.0):
@@ -425,7 +431,8 @@ def generate_canaries(dataset: Dataset, count: int, rng: np.random.Generator):
     Features draw from N(mean_j, std_j^2) and are clamped to the unit
     interval; labels are fair coin flips. Returns (features, labels).
     """
-    return _sample_canaries(_canary_fit(dataset), count, rng)
+    feats, labels = _sample_canaries(_canary_fit(dataset), count, [rng])
+    return feats[0], labels[0]
 
 
 def _canary_fit(dataset: Dataset):
@@ -435,12 +442,18 @@ def _canary_fit(dataset: Dataset):
     return dataset.features.mean(axis=0), dataset.features.std(axis=0)
 
 
-def _sample_canaries(fit, count: int, rng: np.random.Generator):
-    """generate_canaries from a _canary_fit computed once."""
+def _sample_canaries(fit, count: int, rngs):
+    """generate_canaries from a _canary_fit computed once, for each
+    generator of rngs: the (len(rngs), count, m) features, clamped once
+    for all of them, and the (len(rngs), count) labels. Each generator
+    draws its normal features, then its labels."""
     mu, sd = fit
-    feats = np.clip(rng.normal(mu, sd, size=(count, mu.size)), 0.0, 1.0)
-    labels = rng.integers(0, 2, size=count)
-    return feats, labels
+    feats = np.empty((len(rngs), count, mu.size))
+    labels = np.empty((len(rngs), count), dtype=np.int64)
+    for rng, row, label in zip(rngs, feats, labels):
+        row[...] = rng.normal(mu, sd, size=row.shape)
+        label[...] = rng.integers(0, 2, size=count)
+    return np.clip(feats, 0.0, 1.0, out=feats), labels
 
 
 def _trial_seed_seq(config: AuditConfig, trial_index: int) -> np.random.SeedSequence:
@@ -468,16 +481,21 @@ def run_trial(trial_index: int, config: AuditConfig, dataset: Dataset):
     return x_row, y_row
 
 
-def _draw_canaries(fit, config: AuditConfig, count: int, rng: np.random.Generator):
-    """count canaries from the dataset's _canary_fit and their encoding
-    offsets, drawn from rng in that order: (features, labels, offsets),
-    one offset row per canary.
+def _draw_canaries(fit, config: AuditConfig, count: int, rngs):
+    """count canaries for each generator of rngs, from the dataset's
+    _canary_fit, and their encoding offsets: (T, count, m) features,
+    (T, count) labels and (T, count, m) offsets, T = len(rngs). Each
+    generator draws as a lone trial does: its normal features and its
+    labels (_sample_canaries), then its offsets (sample_offsets); the
+    features are clamped once for the block.
 
     Adjacency is guaranteed by clipping; refuse to continue if it ever
-    fails, since epsilon_hat is meaningless without it.
+    fails, since epsilon_hat is meaningless without it. One check covers
+    the block.
     """
-    feats, labels = _sample_canaries(fit, count, rng)
-    offsets = sample_offsets(OffsetSpec(config.d, config.delta_conf), feats.shape, rng)
+    feats, labels = _sample_canaries(fit, count, rngs)
+    spec = OffsetSpec(config.d, config.delta_conf)
+    offsets = np.stack([sample_offsets(spec, feats.shape[1:], rng) for rng in rngs])
     worst = np.abs(np.sin(offsets / 2.0)).max()
     if not worst <= config.d + 1e-12:  # NaN fails too
         raise ValueError(f"canary adjacency violated: {worst} > d = {config.d}")
@@ -489,37 +507,40 @@ def _run_block(indices: range, config: AuditConfig, dataset: Dataset,
     """run_trial's rows for consecutive trials, each with its 2K per-canary
     thresholds, seen then unseen: the reference losses under the
     'reference' rule, else the calibrated global kappa. base_states are the
-    dataset's amplitude rows, encoded once per audit."""
+    dataset's amplitude rows, encoded once per audit.
+
+    A trial's stream draws its canaries and offsets (_draw_canaries, the
+    whole block at once), then its initialization seed. The initialization
+    is drawn once per trial, and its audited model and its reference each
+    train from their own copy of it."""
     K, m, dim = config.K, dataset.feature_count, config.model.dim
 
     # draw: each trial's canaries and offsets (the first K are seen, the
     # last K unseen) and initialization, from its own stream in the order
     # of a lone trial. The initialization depends on the trial seed alone,
     # never on which canaries are seen, and the trial's reference shares it
-    fit, rngs, draws, init_seeds = _canary_fit(dataset), [], [], []
-    for index in indices:
-        rng = np.random.default_rng(_trial_seed_seq(config, index))
-        draws.append(_draw_canaries(fit, config, 2 * K, rng))
-        init_seeds.append(int(rng.integers(2**63)))
-        rngs.append(rng)
+    rngs = [np.random.default_rng(_trial_seed_seq(config, index)) for index in indices]
+    feats, labels, offsets = _draw_canaries(_canary_fit(dataset), config, 2 * K, rngs)
+    init = _init_params(config.model, [int(rng.integers(2**63)) for rng in rngs])
     T = len(rngs)
-    feats, labels, offsets = (np.stack(d) for d in zip(*draws))
     phi2 = _encode_rows(feats.reshape(-1, m), offsets.reshape(-1, m)).reshape(T, 2 * K, -1)
 
     # train: each trial's audited model on the base data and its K seen
     # canaries in one stack, and under the reference rule the references in
     # another. A reference sees the base data only, so its losses are a
-    # canary-independent post-processing of the trial's initialization
+    # canary-independent post-processing of the trial's initialization.
+    # Training updates its parameters in place, so the audited models take
+    # a copy of the initialization and the references the original
     N = dataset.size
     base_labels = np.broadcast_to(dataset.labels, (T, N))
     seen = np.empty((T, dim, N + K))
     seen[:, :, :N] = base_states.T
     seen[:, :, N:] = phi2[:, :K].transpose(0, 2, 1)
     models = _train_stack(seen, np.concatenate([base_labels, labels[:, :K]], axis=1),
-                          config.model, config.train, init_seeds)
+                          config.model, config.train, init.copy())
     if config.kappa_rule == "reference":
         base = np.broadcast_to(_stack_states(base_states, dim), (T, dim, N))
-        models += _train_stack(base, base_labels, config.model, config.train, init_seeds)
+        models += _train_stack(base, base_labels, config.model, config.train, init)
 
     # read: each trial's losses from its own stream in the order of a lone
     # trial, recognized where they fall below the thresholds
@@ -591,8 +612,8 @@ def _calibration(dataset: Dataset, config: AuditConfig,
     reference = train(base_states, dataset.labels, config.model, tcfg)
 
     feats, labels, offsets = _draw_canaries(_canary_fit(dataset), config,
-                                            CALIBRATION_CANARIES, rng)
-    states = _encode_rows(feats, offsets)
+                                            CALIBRATION_CANARIES, [rng])
+    states, labels = _encode_rows(feats[0], offsets[0]), labels[0]
 
     losses = evaluate_losses(eval_model(reference, config.noise), states, labels, rng)
     kappa = _median(losses)

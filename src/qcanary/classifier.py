@@ -114,6 +114,9 @@ class _Engine:
         self.sign = np.where(idx & masks, 1.0, -1.0)
         # (-1)^(bit_q(i) + bit_q(j)), the signs Z_q puts on entry (i, j)
         self.parity = self.sign[:, :, None] * self.sign[:, None, :]
+        # X_q A X_q as a gather: entry (i, j) is A[flip_q i, flip_q j], at
+        # this flat offset into one model's dim x dim matrix
+        self.flip_index = self.flip[:, :, None] * self.dim + self.flip[:, None, :]
         # Z on qubit 0, 2 E^T E - I: +1 on the first dim/2 basis states,
         # the rows E of the readout projector (walk_back)
         self.obs = np.diag(-self.sign[0])
@@ -214,18 +217,24 @@ class _Engine:
         rank-dim/2 projector reads as 1/2, so p becomes (1 - p_n) p +
         p_n/2. A per-qubit channel is a Pauli channel, its own adjoint, so
         it acts on the observable the states see, A = U^T Z U = 2 R_0^T R_0
-        - I, as depolarize_qubit's gathers, and p = (1 + psi^T A psi)/2;
-        only this path builds A, and it leaves T unwritten. Under shots p
-        of model s becomes the share of outcome 0 in a binomial count drawn
-        from its exact p with rng, for each (s, rng) in draws in that
-        order, so a model read in a stack draws what it draws read alone.
+        - I, one qubit at a time (depolarize_qubit), and p = (1 + psi^T A
+        psi)/2. Only this path builds A, in buffers its plan holds when
+        built for that noise, and it leaves T unwritten; subtracting I
+        touches only A's diagonal, since 2a - 0 is 2a to the bit. Under
+        shots p of model s becomes the share of outcome 0 in a binomial
+        count drawn from its exact p with rng, for each (s, rng) in draws
+        in that order, so a model read in a stack draws what it draws read
+        alone.
         """
         rows, p = plan.readout, plan.p
-        if noise.kind == "depolarizing" and noise.scope == "per_qubit":
-            A = 2.0 * np.matmul(rows.transpose(0, 2, 1), rows) - np.eye(self.dim)
+        if _per_qubit(noise):
+            A = plan.observables[0]
+            np.matmul(plan.readout_T, rows, out=A)
+            np.multiply(A, 2.0, out=A)
+            np.subtract(plan.diagonal, 1.0, out=plan.diagonal)
             for q in range(self.n):
-                A = self.depolarize_qubit(A, q, noise.p)
-            np.einsum("sib,sib->sb", states, np.matmul(A, states), out=p)
+                A = self.depolarize_qubit(plan, q, noise.p)
+            np.einsum("sib,sib->sb", states, np.matmul(A, states, out=plan.observed), out=p)
             np.divide(np.add(1.0, p, out=p), 2.0, out=p)
         else:
             T = np.matmul(rows, states, out=plan.T)
@@ -239,18 +248,29 @@ class _Engine:
                     p[s] = rng.binomial(noise.shots, np.clip(p[s], 0.0, 1.0)) / noise.shots
         return np.minimum(np.maximum(p, P_CLAMP, out=p), 1.0 - P_CLAMP, out=p)
 
-    def depolarize_qubit(self, A: np.ndarray, q: int, p: float) -> np.ndarray:
-        """The depolarizing channel on qubit q, applied to each real (S, dim,
-        dim) matrix: (1-p) A + p/3 (X A X + Y A Y + Z A Z) on that qubit.
+    def depolarize_qubit(self, plan: "_Plan", q: int, p: float) -> np.ndarray:
+        """The depolarizing channel on qubit q, applied to each of the plan's
+        real (S, dim, dim) observables A: (1-p) A + p/3 (X A X + Y A Y + Z A
+        Z) on that qubit. A is plan.observables[q % 2]; the channel writes
+        into the other one, which it returns, and overwrites A.
 
-        X_q A X_q is the gather A[f, f] with f the bit-q flip, Z_q A Z_q the
-        parity signs times A and Y_q A Y_q the signs times A[f, f], all real
-        and exact; summed in X, Y, Z order this matches the complex Pauli
-        products of noise._depolarize_qubit_mat bit for bit.
+        X_q A X_q is F = A[f, f] with f the bit-q flip, one take through
+        the flat index tabled in __init__; Z_q A Z_q is the parity signs s
+        times A and Y_q A Y_q is s F. With w = p/3 the sum runs as ((1-p) A
+        + w F) + w (s F) + w (s A), and s = +-1 makes w (s F) = s (w F)
+        exactly, so w F is made once. All of it is real and exact, and
+        summed in X, Y, Z order it matches the complex Pauli products of
+        noise._depolarize_qubit_mat bit for bit.
         """
-        f, signs, w = self.flip[q], self.parity[q], p / 3.0
-        flipped = A[:, f[:, None], f]
-        return (1.0 - p) * A + w * flipped + w * (signs * flipped) + w * (signs * A)
+        A, flat_A, out = plan.channel[q % 2]
+        F, s, w = plan.flipped, self.parity[q], p / 3.0
+        flat_A.take(self.flip_index[q], axis=1, out=F, mode="clip")
+        np.multiply(F, w, out=F)
+        np.multiply(A, 1.0 - p, out=out)
+        np.add(out, F, out=out)
+        np.add(out, np.multiply(F, s, out=F), out=out)
+        np.multiply(np.multiply(A, s, out=A), w, out=A)
+        return np.add(out, A, out=out)
 
     def generator_traces(self, plan: "_Plan") -> np.ndarray:
         """2 tr(P_l^T G_q P_l Y_l) for every layer l and qubit q, in slot
@@ -280,7 +300,10 @@ class _Plan:
     it with the walk forward and the trace gather (gradient=True), once
     for a whole training call. theta/2 goes into the half of the factor
     buffer that then holds the sines, and each qubit's layer products
-    alternate between the two rows of work.
+    alternate between the two rows of work. A read under per-qubit noise
+    (noise) also gets the channel's buffers: the observable A and the
+    channel's output alternate between two (S, dim, dim) buffers, qubit
+    by qubit, with a third for A's flip and one for A psi.
 
     A gradient plan writes late products into buffers of early ones the
     epoch no longer reads:
@@ -302,7 +325,7 @@ class _Plan:
     """
 
     def __init__(self, engine: _Engine, S: int, B: int = 0, readout: np.ndarray | None = None,
-                 gradient: bool = False):
+                 gradient: bool = False, noise: NoiseSpec | None = None):
         L, n, dim = engine.reps + 1, engine.n, engine.dim
         half = dim // 2
         if readout is None:
@@ -330,6 +353,16 @@ class _Plan:
         if B:
             self.T = np.empty((S, half, B))  # R_0 psi, then w R_0 psi
             self.p = np.empty((S, B))  # p, then ln q
+        if noise is not None and _per_qubit(noise):
+            self.readout_T = readout.transpose(0, 2, 1)
+            observables = np.empty((2, S, dim, dim))
+            flat = observables.reshape(2, S, dim * dim)
+            self.observables = observables
+            self.diagonal = flat[0, :, ::dim + 1]
+            self.channel = [(observables[0], flat[0], observables[1]),
+                            (observables[1], flat[1], observables[0])]
+            self.flipped = np.empty((S, dim, dim))
+            self.observed = np.empty((S, dim, B))  # A psi
         if gradient:
             self.T_t = self.T.transpose(0, 2, 1)
             self.q, self.w = np.empty((2, S, B))
@@ -345,6 +378,12 @@ class _Plan:
             self.trace_signs = np.repeat(engine.generator_signs.reshape(dim, 1, L * n), S, axis=1)
             self.gathered = self.F.reshape(-1)[:dim * S * L * n].reshape(dim, S, L * n)
             self.traces = np.empty((S, L * n))
+
+
+def _per_qubit(noise: NoiseSpec) -> bool:
+    """Whether noise is the per-qubit depolarizing channel, the one regime
+    that reads an observable rather than the readout rows' T."""
+    return noise.kind == "depolarizing" and noise.scope == "per_qubit"
 
 
 _engine_cache: dict = {}
@@ -430,7 +469,7 @@ def _read_losses(spec: ModelSpec, rows: np.ndarray, noise: NoiseSpec, states: np
     shots drawn as _Engine.read draws them. The callers check the labels:
     evaluate_losses and mean_loss check them, the audit generates its own."""
     engine = _engine_for(spec)
-    plan = _Plan(engine, rows.shape[0], states.shape[-1], readout=rows)
+    plan = _Plan(engine, rows.shape[0], states.shape[-1], readout=rows, noise=noise)
     return _bce(engine.read(plan, noise, states, draws), labels)
 
 
@@ -558,28 +597,35 @@ def train(states, labels, spec: ModelSpec, cfg: TrainConfig) -> TrainedModel:
     """
     labels = _batch_labels(states, labels)
     states_T = _stack_states(states, spec.dim)
-    return _train_stack(states_T[None], labels[None], spec, cfg, [cfg.seed])[0]
+    theta = _init_params(spec, [cfg.seed])
+    return _train_stack(states_T[None], labels[None], spec, cfg, theta)[0]
+
+
+def _init_params(spec: ModelSpec, seeds) -> np.ndarray:
+    """(S, P) initial parameters, row s the small uniform initialization
+    train() draws from seeds[s]."""
+    return np.stack([np.random.default_rng(seed).uniform(-0.1, 0.1, spec.param_count)
+                     for seed in seeds])
 
 
 def _train_stack(states: np.ndarray, labels: np.ndarray, spec: ModelSpec,
-                 cfg: TrainConfig, seeds) -> list:
+                 cfg: TrainConfig, theta: np.ndarray) -> list:
     """train() for S models at once, one stacked gradient step per epoch.
 
     Model s fits the columns of states[s] (states is (S, dim, B)) to
-    labels[s] from the initialization seeds[s] draws; cfg.seed is unused.
-    Each model ends on the same bits as train() gives it alone.
+    labels[s] from the initial parameters theta[s] (_init_params); cfg.seed
+    is unused. theta is updated in place, epoch by epoch, and the returned
+    models hold its rows, so a caller that trains from the same
+    initialization again passes a copy. Each model ends on the same bits
+    as train() gives it alone.
     """
     labels = _binary_labels(labels)
-    if spec.noise.kind == "depolarizing" and spec.noise.scope == "per_qubit":
+    if _per_qubit(spec.noise):
         raise NotImplementedError(
             "training under per-qubit depolarizing noise is not supported; "
             "use global scope or evaluate noise at audit time only")
-    engine = _engine_for(spec)
-    theta = np.stack([np.random.default_rng(seed).uniform(-0.1, 0.1, spec.param_count)
-                      for seed in seeds])
-
-    step = _GradientStep(engine, states, labels, spec.noise)
-    log = np.empty((len(seeds), cfg.epochs))
+    step = _GradientStep(_engine_for(spec), states, labels, spec.noise)
+    log = np.empty((len(theta), cfg.epochs))
     for epoch in range(cfg.epochs):
         log[:, epoch], grad = step(theta)
         theta -= np.multiply(cfg.learning_rate, grad, out=grad)

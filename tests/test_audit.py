@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 import qcanary as qc
 from qcanary import AuditConfig, DomainError, ModelSpec, NoiseSpec, TrainConfig
-from qcanary.audit import _calibration, _evaluate_block, _median
+from qcanary.audit import _calibration, _evaluate_block, _median, _plugin_bets
 from qcanary.encoding import _encode_rows
 
 
@@ -158,6 +158,20 @@ def test_betting_bounds_bracket_the_mean(matrix, eta):
     lower, upper = qc.betting_lower(matrix, eta), qc.betting_upper(matrix, eta)
     assert 0.0 <= lower <= mean + 1e-12
     assert mean - 1e-12 <= upper <= 1.0
+
+
+def test_plugin_bets_are_predictable(rng):
+    # wager i may see values[:i] only, or the capital is no supermartingale
+    # under the null: whatever values[i:] hold, bets[:i + 1] keep their bits
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        values, eta = rng.random(n), float(rng.uniform(0.001, 0.5))
+        bets = _plugin_bets(values, eta)
+        for i in range(n):
+            changed = values.copy()
+            changed[i:] = rng.integers(0, 2, size=n - i) if i % 2 else rng.random(n - i)
+            got = _plugin_bets(changed, eta)[:i + 1]
+            assert np.array_equal(got.view(np.int64), bets[:i + 1].view(np.int64)), (n, i)
 
 
 def test_estimate_epsilon_betting_formula():
@@ -428,7 +442,7 @@ def test_config_validation(dataset):
         small_config(kappa_rule="oracle")
     for field, value in (("delta_conf", 0.0), ("delta_conf", 1.5),
                          ("theory_delta", 0.0), ("theory_delta", 1.5),
-                         ("theory_r", -1), ("seed", -1)):
+                         ("theory_r", -1), ("theory_r", 0), ("seed", -1)):
         with pytest.raises(ValueError):
             small_config(**{field: value})
 
@@ -565,6 +579,39 @@ def test_block_evaluation_matches_model_by_model(noise):
             assert len(got[t]) == len(want)
             for g, w in zip(got[t], want):
                 assert np.array_equal(g, w), (len(refs), t)
+
+
+def test_block_trains_both_models_of_a_trial_from_one_init(dataset, monkeypatch):
+    # a trial draws its canaries, offsets and init seed from its own stream,
+    # then its audited model and its reference each train from their own
+    # copy of that init. Each must equal a lone train() from the init seed:
+    # the reference on the base data, the audited model on the base data
+    # plus the seen canaries. Training updates its parameters in place, so a
+    # reference started from the audited model's array would differ
+    audit_module = importlib.import_module("qcanary.audit")
+    train_stack, stacks = audit_module._train_stack, []
+
+    def recording(*args):
+        stacks.append(train_stack(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(audit_module, "_train_stack", recording)
+    cfg = small_config()
+    qc.audit(cfg, dataset)
+    audited, references = stacks
+    K, m = cfg.K, dataset.feature_count
+    base = _encode_rows(dataset.features)
+    for i in range(cfg.n):
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, i)))
+        feats, labels = qc.generate_canaries(dataset, 2 * K, rng)
+        offsets = qc.sample_offsets(qc.OffsetSpec(cfg.d, cfg.delta_conf), (2 * K, m), rng)
+        tcfg = replace(cfg.train, seed=int(rng.integers(2**63)))
+        seen = np.vstack([base, _encode_rows(feats[:K], offsets[:K])])
+        want = qc.train(seen, np.concatenate([dataset.labels, labels[:K]]), cfg.model, tcfg)
+        assert np.array_equal(audited[i].params.view(np.int64), want.params.view(np.int64)), i
+        want = qc.train(base, dataset.labels, cfg.model, tcfg)
+        assert np.array_equal(references[i].params.view(np.int64),
+                              want.params.view(np.int64)), i
 
 
 @pytest.mark.parametrize("rule, per_trial", [("reference", 2), ("calibrated_median", 1)])

@@ -9,9 +9,9 @@ import pytest
 
 import qcanary as qc
 from qcanary import ModelSpec, NoiseSpec, TrainConfig, TrainedModel
-from qcanary.classifier import (_bce, _engine_for, _GradientStep, _label_probs, _Plan,
-                                _readout_rows, _stack_states, _train_stack, loss_gradient,
-                                mean_loss, P_CLAMP)
+from qcanary.classifier import (_bce, _engine_for, _GradientStep, _init_params, _label_probs,
+                                _Plan, _read_losses, _readout_rows, _stack_states, _train_stack,
+                                loss_gradient, mean_loss, P_CLAMP)
 from qcanary.circuits import (Gate, _gate_unitary, apply_circuit_density, apply_circuit_pure,
                               build_real_amplitudes, expectation, parameter_shift_gradient,
                               z_on_qubit)
@@ -232,7 +232,7 @@ def test_stacked_training_matches_one_model_at_a_time(rng, noise):
         labels = rng.integers(0, 2, size=(S, 9)).astype(float)
         seeds = [int(seed) for seed in rng.integers(2**63, size=S)]
         states = np.stack([_stack_states(d, spec.dim) for d in data])
-        stacked = _train_stack(states, labels, spec, cfg, seeds)
+        stacked = _train_stack(states, labels, spec, cfg, _init_params(spec, seeds))
         for s in range(S):
             alone = qc.train(data[s], labels[s], spec, replace(cfg, seed=seeds[s]))
             assert np.array_equal(stacked[s].params, alone.params), (S, s)
@@ -405,9 +405,10 @@ def test_stacked_training_does_not_refault_its_step_buffers(rng):
     rows = _encode_rows(rng.uniform(0, 1, size=(S * B, spec.qubits)))
     states = np.ascontiguousarray(rows.reshape(S, B, spec.dim).transpose(0, 2, 1))
     labels = rng.integers(0, 2, size=(S, B)).astype(float)
-    _train_stack(states, labels, spec, cfg, range(S))  # warm-up
+    init = _init_params(spec, range(S))
+    _train_stack(states, labels, spec, cfg, init.copy())  # warm-up
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    _train_stack(states, labels, spec, cfg, range(S))
+    _train_stack(states, labels, spec, cfg, init)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 50 * cfg.epochs, faults
 
@@ -416,7 +417,7 @@ _FIRST_CALL = """
 import resource
 import numpy as np
 from qcanary import ModelSpec, TrainConfig
-from qcanary.classifier import _train_stack
+from qcanary.classifier import _init_params, _train_stack
 from qcanary.encoding import _encode_rows
 
 rng = np.random.default_rng(0)
@@ -425,7 +426,7 @@ rows = _encode_rows(rng.uniform(0, 1, size=(S * B, spec.qubits)))
 states = np.ascontiguousarray(rows.reshape(S, B, spec.dim).transpose(0, 2, 1))
 labels = rng.integers(0, 2, size=(S, B)).astype(float)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-_train_stack(states, labels, spec, cfg, range(S))
+_train_stack(states, labels, spec, cfg, _init_params(spec, range(S)))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -479,6 +480,37 @@ def test_warm_gradient_step_allocates_no_arrays(rng):
         assert peak < 4096, (noise.kind, peak)
 
 
+def test_warm_per_qubit_read_allocates_no_observable_per_qubit(rng):
+    # an audit block's read under per-qubit noise: 64 models on 32
+    # canaries each. The read builds the observable and applies each
+    # qubit's channel in buffers its plan owns, so past the plan's own
+    # buffers a warm call allocates less than one (S, dim, dim) array
+    import tracemalloc
+
+    spec, S, B = ModelSpec(qubits=4, ansatz_reps=3), 64, 32
+    noise = NoiseSpec.depolarizing(0.05, scope="per_qubit")
+    rows = _readout_rows(spec, rng.uniform(-1, 1, size=(S, spec.param_count)))
+    encoded = _encode_rows(rng.uniform(0, 1, size=(S * B, spec.qubits)))
+    states = np.ascontiguousarray(encoded.reshape(S, B, spec.dim).transpose(0, 2, 1))
+    labels = rng.integers(0, 2, size=(S, B)).astype(float)
+    _read_losses(spec, rows, noise, states, labels)  # warm-up
+    with np.errstate():  # restores the buffer size on exit
+        np.setbufsize(16)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            plan = _Plan(_engine_for(spec), S, B, readout=rows, noise=noise)
+            owned = tracemalloc.get_traced_memory()[0] - start
+            del plan
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _read_losses(spec, rows, noise, states, labels)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert peak - owned < S * spec.dim * spec.dim * 8, (peak, owned)
+
+
 def test_engine_layers_match_kron_reference(rng):
     # per layer the Kronecker product of the RY matrices, qubit 0 most
     # significant, times the CX chain before it; the engine gathers where
@@ -518,8 +550,11 @@ def test_per_qubit_channel_matches_complex_pauli_products(rng):
         engine = _engine_for(ModelSpec(qubits=qubits, ansatz_reps=1))
         A = rng.normal(size=(S, 2**qubits, 2**qubits))
         A = A + A.transpose(0, 2, 1)
+        plan = _Plan(engine, S, 1, readout=np.zeros((S, 2**qubits // 2, 2**qubits)),
+                     noise=NoiseSpec.depolarizing(p, scope="per_qubit"))
         for q in range(qubits):
-            got = engine.depolarize_qubit(A, q, p)
+            plan.observables[q % 2] = A
+            got = engine.depolarize_qubit(plan, q, p)
             for s in range(S):
                 want = _depolarize_qubit_mat(A[s], q, p)
                 assert not want.imag.any()

@@ -88,6 +88,7 @@ def test_invalid_field_is_config_error():
     for key, value in (("audit.beta", 2.0), ("audit.n", 1),
                        ("audit.delta_conf", 1.5), ("audit.delta_conf", 0.0),
                        ("audit.theory_delta", 1.5), ("audit.theory_r", -1),
+                       ("audit.theory_r", 0),
                        ("model.qubits", 0), ("train.epochs", 0), ("noise.p", 2.0),
                        ("audit.seed", -1), ("train.learning_rate", math.nan)):
         doc = load_config(None)
@@ -187,6 +188,7 @@ def test_config_error_exits_2_without_output(tmp_path):
                {"audit.kappa_rule": "fixed"}, {"model.encoding_axis": "RY"},
                {"audit.delta": 0.0})
     for extra in ({**shots, "audit.theory_delta": 1.5}, {**shots, "audit.theory_r": -1},
+                  {**shots, "audit.theory_r": 0},
                   {"audit.delta_conf": 1.5}, {"audit.seed": -1},
                   {"dataset.synth_seed": -1}, *removed):
         assert main(["audit", "--config", write_config(tmp_path, extra),
