@@ -43,9 +43,8 @@ from statistics import NormalDist
 import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily, at an audit's first draw)
 
-from .classifier import (ModelSpec, TrainConfig, _init_params, _per_qubit, _read_losses,
-                         _readout_rows, _stack_states, _train_stack, eval_model,
-                         evaluate_losses, train)
+from .classifier import (ModelSpec, TrainConfig, _init_params, _losses, _per_qubit,
+                         _stack_states, _train_stack, eval_model, evaluate_losses, train)
 from .data import Dataset
 from .encoding import OffsetSpec, _encode_rows, sample_offsets
 from .encoding import angle_encode, angle_encode_offset  # noqa: F401  (bench traces them as encoding.encode)
@@ -473,12 +472,21 @@ def run_trial(trial_index: int, config: AuditConfig, dataset: Dataset):
     (config.seed, trial_index), so any execution order, block or process
     placement yields the same rows.
     """
-    base_states = _encode_rows(dataset.features)
+    base_states = _base_states(dataset, config)
     kappa = (_calibration(dataset, config, base_states)[0]
              if config.kappa_rule == "calibrated_median" else None)
-    [(x_row, y_row, _)] = _run_block(range(trial_index, trial_index + 1), config,
-                                     dataset, kappa, base_states)
-    return x_row, y_row
+    x, y, _ = _run_block(range(trial_index, trial_index + 1), config, dataset, kappa, base_states)
+    return x[0], y[0]
+
+
+def _base_states(dataset: Dataset, config: AuditConfig) -> np.ndarray:
+    """The dataset's amplitude rows, encoded once per audit, after checking
+    that it has one feature per qubit of the model."""
+    if dataset.feature_count != config.model.qubits:
+        raise ValueError(
+            f"model has {config.model.qubits} qubits but the dataset has "
+            f"{dataset.feature_count} features")
+    return _encode_rows(dataset.features)
 
 
 def _draw_canaries(fit, config: AuditConfig, count: int, rngs):
@@ -503,17 +511,19 @@ def _draw_canaries(fit, config: AuditConfig, count: int, rngs):
 
 
 def _run_block(indices: range, config: AuditConfig, dataset: Dataset,
-               kappa: float | None, base_states: np.ndarray) -> list:
-    """run_trial's rows for consecutive trials, each with its 2K per-canary
-    thresholds, seen then unseen: the reference losses under the
-    'reference' rule, else the calibrated global kappa. base_states are the
-    dataset's amplitude rows, encoded once per audit.
+               kappa: float | None, base_states: np.ndarray):
+    """run_trial's rows for T consecutive trials: the (T, K) seen and (T, K)
+    unseen indicators, and the (T, 2K) per-canary thresholds, seen then
+    unseen: the reference losses under the 'reference' rule, else the
+    calibrated global kappa. base_states are the dataset's amplitude rows,
+    encoded once per audit.
 
     A trial's stream draws its canaries and offsets (_draw_canaries, the
     whole block at once), then its initialization seed. The initialization
     is drawn once per trial, and its audited model and its reference each
     train from their own copy of it."""
     K, m, dim = config.K, dataset.feature_count, config.model.dim
+    reference = config.kappa_rule == "reference"
 
     # draw: each trial's canaries and offsets (the first K are seen, the
     # last K unseen) and initialization, from its own stream in the order
@@ -526,47 +536,43 @@ def _run_block(indices: range, config: AuditConfig, dataset: Dataset,
     phi2 = _encode_rows(feats.reshape(-1, m), offsets.reshape(-1, m)).reshape(T, 2 * K, -1)
 
     # train: each trial's audited model on the base data and its K seen
-    # canaries in one stack, and under the reference rule the references in
-    # another. A reference sees the base data only, so its losses are a
-    # canary-independent post-processing of the trial's initialization.
-    # Training updates its parameters in place, so the audited models take
-    # a copy of the initialization and the references the original
+    # canaries in one stack, rows :T of theta, and under the reference rule
+    # the references in another, rows T:. A reference sees the base data
+    # only, so its losses are a canary-independent post-processing of the
+    # trial's initialization. Training updates its rows in place, so each
+    # stack starts from its own copy of the initialization
     N = dataset.size
     base_labels = np.broadcast_to(dataset.labels, (T, N))
     seen = np.empty((T, dim, N + K))
     seen[:, :, :N] = base_states.T
     seen[:, :, N:] = phi2[:, :K].transpose(0, 2, 1)
-    models = _train_stack(seen, np.concatenate([base_labels, labels[:, :K]], axis=1),
-                          config.model, config.train, init.copy())
-    if config.kappa_rule == "reference":
+    theta = np.tile(init, (2 if reference else 1, 1))
+    _train_stack(seen, np.concatenate([base_labels, labels[:, :K]], axis=1),
+                 config.model, config.train, theta[:T])
+    if reference:
         base = np.broadcast_to(_stack_states(base_states, dim), (T, dim, N))
-        models += _train_stack(base, base_labels, config.model, config.train, init)
+        _train_stack(base, base_labels, config.model, config.train, theta[T:])
 
     # read: each trial's losses from its own stream in the order of a lone
     # trial, recognized where they fall below the thresholds
-    rows = []
-    for losses, *ref in _evaluate_block(config, models, phi2, labels, rngs):
-        thresholds = ref[0] if ref else np.full(2 * K, kappa)
-        recognized = (losses < thresholds).astype(np.uint8)
-        rows.append((recognized[:K], recognized[K:], thresholds))
-    return rows
+    losses = _evaluate_block(config, theta, phi2, labels, rngs)
+    thresholds = losses[T:] if reference else np.full((T, 2 * K), kappa)
+    recognized = (losses[:T] < thresholds).astype(np.uint8)
+    return recognized[:, :K], recognized[:, K:], thresholds
 
 
-def _evaluate_block(config: AuditConfig, models: list, states: np.ndarray,
-                    labels: np.ndarray, rngs) -> list:
-    """Each trial t's losses on its states[t] under config.noise: model t's,
-    then model T + t's when models holds references after the T audited
-    models. All readout rows come from one walk back and every model reads
-    in one stack; under shots each trial draws from its own rng, model t
-    first, so every loss and every shot draw equals evaluate_losses on
-    that model alone."""
-    T, S, noise = len(rngs), len(models), config.noise
-    rows = _readout_rows(config.model, np.stack([m.params for m in models]))
-    reads = np.arange(S) % T  # the trial whose canaries model i reads
+def _evaluate_block(config: AuditConfig, theta: np.ndarray, states: np.ndarray,
+                    labels: np.ndarray, rngs) -> np.ndarray:
+    """The (S, 2K) losses of the S models of the stacked (S, P) theta under
+    config.noise: model s reads trial t = s % T's states[t] against
+    labels[t], T = len(rngs), so the T audited models come first and any
+    references follow in the same trial order. Every model reads in one
+    stack; under shots model s draws from rngs[t], in model order, so
+    every loss and every shot draw equals evaluate_losses on that model
+    alone."""
+    reads = np.arange(len(theta)) % len(rngs)
     stacked = np.ascontiguousarray(states.transpose(0, 2, 1))[reads]
-    draws = [(i, rng) for t, rng in enumerate(rngs) for i in range(t, S, T)]
-    losses = _read_losses(config.model, rows, noise, stacked, labels[reads], draws)
-    return [list(losses[t::T]) for t in range(T)]
+    return _losses(config.model, theta, config.noise, stacked, labels[reads], rngs)
 
 
 def __getattr__(name: str):
@@ -605,7 +611,7 @@ def _calibration(dataset: Dataset, config: AuditConfig,
     mu for the finite-shot bound, floored at MU_FLOOR.
     """
     if base_states is None:
-        base_states = _encode_rows(dataset.features)
+        base_states = _base_states(dataset, config)
     rng = np.random.default_rng(_kappa_seed_seq(config))
     init_seed = int(rng.integers(2**63))
     tcfg = replace(config.train, seed=init_seed)
@@ -664,13 +670,8 @@ def audit(config: AuditConfig, dataset: Dataset, workers: int = 1) -> AuditRepor
     The estimator's two bounds consume beta/2 each, so the overall failure
     probability of the reported epsilon_hat stays at beta.
     """
-    if dataset.feature_count != config.model.qubits:
-        raise ValueError(
-            f"model has {config.model.qubits} qubits but the dataset has "
-            f"{dataset.feature_count} features")
-
     t0 = time.perf_counter()
-    base_states = _encode_rows(dataset.features)
+    base_states = _base_states(dataset, config)
     kappa = mu_est = None
     # the finite-shot bound needs mu whatever the recognition rule
     if config.kappa_rule == "calibrated_median" or config.noise.kind == "measurement_shots":
@@ -694,8 +695,7 @@ def audit(config: AuditConfig, dataset: Dataset, workers: int = 1) -> AuditRepor
             done = [run_block(block) for block in blocks[:share]] + list(rest)
     else:
         done = [run_block(block) for block in blocks]
-    rows = (row for block_rows in done for row in block_rows)
-    x, y, thresholds = (np.stack(m) for m in zip(*rows))
+    x, y, thresholds = (np.concatenate(m) for m in zip(*done))
     kappa = _median(thresholds)
     t2 = time.perf_counter()
 

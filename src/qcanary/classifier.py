@@ -117,9 +117,6 @@ class _Engine:
         # X_q A X_q as a gather: entry (i, j) is A[flip_q i, flip_q j], at
         # this flat offset into one model's dim x dim matrix
         self.flip_index = self.flip[:, :, None] * self.dim + self.flip[:, None, :]
-        # Z on qubit 0, 2 E^T E - I: +1 on the first dim/2 basis states,
-        # the rows E of the readout projector (walk_back)
-        self.obs = np.diag(-self.sign[0])
         perm = self._layer_columns()
         self.gather = self._table_index(perm)
         # generator_traces reads the CX-permuted generators P_l^T G_q P_l
@@ -205,11 +202,10 @@ class _Engine:
             np.matmul(a, b, out=out)
         return plan.rows
 
-    def read(self, plan: "_Plan", noise: NoiseSpec, states: np.ndarray, draws=()) -> np.ndarray:
+    def read(self, plan: "_Plan", noise: NoiseSpec, states: np.ndarray, rngs=()) -> np.ndarray:
         """p[s, b], the clamped probability that model s, whose readout rows
         are plan.readout[s] = R_0 (walk_back), reads class 1 from column b
-        of states[s] under noise: (S, dim/2, dim) and (S, dim, B) -> the
-        plan's (S, B) p.
+        of states[s] under noise: (S, dim, B) states -> the plan's (S, B) p.
 
         This is the one place noise touches the engine. Noiseless, p is the
         Born rule, sum_i T_ib^2 with T = R_0 psi, the plan's (S, dim/2, B)
@@ -219,12 +215,12 @@ class _Engine:
         it acts on the observable the states see, A = U^T Z U = 2 R_0^T R_0
         - I, one qubit at a time (depolarize_qubit), and p = (1 + psi^T A
         psi)/2. Only this path builds A, in buffers its plan holds when
-        built for that noise, and it leaves T unwritten; subtracting I
-        touches only A's diagonal, since 2a - 0 is 2a to the bit. Under
-        shots p of model s becomes the share of outcome 0 in a binomial
-        count drawn from its exact p with rng, for each (s, rng) in draws
-        in that order, so a model read in a stack draws what it draws read
-        alone.
+        built for that noise, and its plan has no T; subtracting I touches
+        only A's diagonal, since 2a - 0 is 2a to the bit. Under shots p of
+        model s becomes the share of outcome 0 in a binomial count drawn
+        from its exact p with rngs[s % len(rngs)], in model order, so a
+        model read in a stack draws from its generator what it draws read
+        alone; with no rngs, as in training, shots are ignored.
         """
         rows, p = plan.readout, plan.p
         if _per_qubit(noise):
@@ -241,8 +237,9 @@ class _Engine:
             np.einsum("sib,sib->sb", T, T, out=p)
             if noise.kind == "depolarizing":
                 np.add(np.multiply(1.0 - noise.p, p, out=p), noise.p / 2.0, out=p)
-            elif noise.kind == "measurement_shots":
-                for s, rng in draws:
+            elif noise.kind == "measurement_shots" and rngs:
+                for s in range(len(p)):
+                    rng = rngs[s % len(rngs)]
                     if rng is None:
                         raise ValueError("finite-shot evaluation needs an explicit rng")
                     p[s] = rng.binomial(noise.shots, np.clip(p[s], 0.0, 1.0)) / noise.shots
@@ -295,15 +292,14 @@ class _Plan:
     walk_back, read and generator_traces neither slice, reshape nor
     allocate when called.
 
-    _readout_rows builds the layer and walk-back part, _read_losses the
-    read part on the readout rows it is given, and _GradientStep all of
-    it with the walk forward and the trace gather (gradient=True), once
-    for a whole training call. theta/2 goes into the half of the factor
-    buffer that then holds the sines, and each qubit's layer products
-    alternate between the two rows of work. A read under per-qubit noise
-    (noise) also gets the channel's buffers: the observable A and the
-    channel's output alternate between two (S, dim, dim) buffers, qubit
-    by qubit, with a third for A's flip and one for A psi.
+    _losses builds one for a read, and _GradientStep one with the walk
+    forward and the trace gather too (gradient=True), once for a whole
+    training call. theta/2 goes into the half of the factor buffer that
+    then holds the sines, and each qubit's layer products alternate
+    between the two rows of work. A read under per-qubit noise (noise)
+    gets the channel's buffers in place of T: the observable A and the
+    channel's output alternate between two (S, dim, dim) buffers, qubit by
+    qubit, with a third for A's flip and one for A psi.
 
     A gradient plan writes late products into buffers of early ones the
     epoch no longer reads:
@@ -324,37 +320,32 @@ class _Plan:
     along a reduced axis that is the inner loop.
     """
 
-    def __init__(self, engine: _Engine, S: int, B: int = 0, readout: np.ndarray | None = None,
-                 gradient: bool = False, noise: NoiseSpec | None = None):
+    def __init__(self, engine: _Engine, S: int, B: int, gradient: bool = False,
+                 noise: NoiseSpec | None = None):
         L, n, dim = engine.reps + 1, engine.n, engine.dim
-        half = dim // 2
-        if readout is None:
-            SL = S * L
-            factors = np.empty((2, SL, n))
-            self.cosines, self.sines = factors
-            self.half_angles = self.sines.reshape(S, L * n)
-            work = np.empty((2, dim * SL))
-            products, self.products = factors[..., 0], []  # (2**(q + 1), S L) after qubit q
-            for q in range(1, n):
-                into = work[q % 2, :2**(q + 1) * SL].reshape(2**q, 2, SL)
-                self.products.append((products[:, None], factors[None, ..., q], into))
-                products = into.reshape(-1, SL)
-            self.products_T = products.T.reshape(S, L, dim)
-            table = np.empty((S, L, 2, dim))
-            self.table_pos, self.table_neg = table[:, :, 0], table[:, :, 1]
-            self.flat_table = table.reshape(S, -1)
-            self.layers = np.empty((S, L, dim, dim))  # the layers V_l, then Y_l
-            self.rows = np.empty((S, L, half, dim))
-            self.rows_last, self.layers_top = self.rows[:, L - 1], self.layers[:, L - 1, :half]
-            self.walk_back = [(self.rows[:, layer + 1], self.layers[:, layer], self.rows[:, layer])
-                              for layer in range(L - 2, -1, -1)]
-            readout = self.rows[:, 0]
-        self.readout = readout
-        if B:
-            self.T = np.empty((S, half, B))  # R_0 psi, then w R_0 psi
-            self.p = np.empty((S, B))  # p, then ln q
+        half, SL = dim // 2, S * L
+        factors = np.empty((2, SL, n))
+        self.cosines, self.sines = factors
+        self.half_angles = self.sines.reshape(S, L * n)
+        work = np.empty((2, dim * SL))
+        products, self.products = factors[..., 0], []  # (2**(q + 1), S L) after qubit q
+        for q in range(1, n):
+            into = work[q % 2, :2**(q + 1) * SL].reshape(2**q, 2, SL)
+            self.products.append((products[:, None], factors[None, ..., q], into))
+            products = into.reshape(-1, SL)
+        self.products_T = products.T.reshape(S, L, dim)
+        table = np.empty((S, L, 2, dim))
+        self.table_pos, self.table_neg = table[:, :, 0], table[:, :, 1]
+        self.flat_table = table.reshape(S, -1)
+        self.layers = np.empty((S, L, dim, dim))  # the layers V_l, then Y_l
+        self.rows = np.empty((S, L, half, dim))
+        self.rows_last, self.layers_top = self.rows[:, L - 1], self.layers[:, L - 1, :half]
+        self.walk_back = [(self.rows[:, layer + 1], self.layers[:, layer], self.rows[:, layer])
+                          for layer in range(L - 2, -1, -1)]
+        self.readout = self.rows[:, 0]
+        self.p = np.empty((S, B))  # p, then ln q
         if noise is not None and _per_qubit(noise):
-            self.readout_T = readout.transpose(0, 2, 1)
+            self.readout_T = self.readout.transpose(0, 2, 1)
             observables = np.empty((2, S, dim, dim))
             flat = observables.reshape(2, S, dim * dim)
             self.observables = observables
@@ -363,6 +354,8 @@ class _Plan:
                             (observables[1], flat[1], observables[0])]
             self.flipped = np.empty((S, dim, dim))
             self.observed = np.empty((S, dim, B))  # A psi
+        else:
+            self.T = np.empty((S, half, B))  # R_0 psi, then w R_0 psi
         if gradient:
             self.T_t = self.T.transpose(0, 2, 1)
             self.q, self.w = np.empty((2, S, B))
@@ -451,26 +444,19 @@ def _batch_labels(states, labels) -> np.ndarray:
     return labels
 
 
-def _readout_rows(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
-    """R_0 = E U_s, the (S, dim/2, dim) readout rows of the rows of the
-    (S, P) params, from one walk back (_Engine.walk_back)."""
+def _losses(spec: ModelSpec, theta: np.ndarray, noise: NoiseSpec, states: np.ndarray,
+            labels: np.ndarray, rngs=()) -> np.ndarray:
+    """Every model's losses, (S, B): model s, with the parameters theta[s]
+    of the (S, P) theta, reads the columns of states[s] against labels[s]
+    under noise, shots drawn as _Engine.read draws them. One plan holds
+    the layer gather, the walk back and the read. The callers check the
+    labels: evaluate_losses and mean_loss check them, the audit generates
+    its own."""
     engine = _engine_for(spec)
-    theta = np.reshape(params, (-1, spec.param_count))
-    plan = _Plan(engine, theta.shape[0])
+    plan = _Plan(engine, len(theta), states.shape[-1], noise=noise)
     engine.layers(plan, theta)
     engine.walk_back(plan)
-    return plan.readout
-
-
-def _read_losses(spec: ModelSpec, rows: np.ndarray, noise: NoiseSpec, states: np.ndarray,
-                 labels: np.ndarray, draws=()) -> np.ndarray:
-    """Every model's losses, (S, B): model s, whose readout rows are
-    rows[s], reads the columns of states[s] against labels[s] under noise,
-    shots drawn as _Engine.read draws them. The callers check the labels:
-    evaluate_losses and mean_loss check them, the audit generates its own."""
-    engine = _engine_for(spec)
-    plan = _Plan(engine, rows.shape[0], states.shape[-1], readout=rows, noise=noise)
-    return _bce(engine.read(plan, noise, states, draws), labels)
+    return _bce(engine.read(plan, noise, states, rngs), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -485,16 +471,16 @@ def evaluate_losses(model: TrainedModel, states, labels,
     amplitude rows."""
     spec = model.spec
     labels = _batch_labels(states, _binary_labels(labels))
-    return _read_losses(spec, _readout_rows(spec, model.params), spec.noise,
-                        _stack_states(states, spec.dim)[None], labels[None], [(0, rng)])[0]
+    return _losses(spec, np.reshape(model.params, (1, -1)), spec.noise,
+                   _stack_states(states, spec.dim)[None], labels[None], [rng])[0]
 
 
 def mean_loss(spec: ModelSpec, params: np.ndarray, states, labels) -> float:
     """Noiseless exact-expectation mean loss, the quantity training descends."""
     labels = _batch_labels(states, _binary_labels(labels))
-    rows = _readout_rows(spec, np.asarray(params, dtype=float))
-    return float(_read_losses(spec, rows, NoiseSpec.none(), _stack_states(states, spec.dim)[None],
-                              labels[None])[0].mean())
+    theta = np.asarray(params, dtype=float).reshape(1, -1)
+    return float(_losses(spec, theta, NoiseSpec.none(), _stack_states(states, spec.dim)[None],
+                         labels[None])[0].mean())
 
 
 def loss_gradient(spec: ModelSpec, params: np.ndarray, states, labels) -> np.ndarray:
@@ -598,7 +584,8 @@ def train(states, labels, spec: ModelSpec, cfg: TrainConfig) -> TrainedModel:
     labels = _batch_labels(states, labels)
     states_T = _stack_states(states, spec.dim)
     theta = _init_params(spec, [cfg.seed])
-    return _train_stack(states_T[None], labels[None], spec, cfg, theta)[0]
+    log = _train_stack(states_T[None], labels[None], spec, cfg, theta)
+    return TrainedModel(spec=spec, params=theta[0], train_log=log[0])
 
 
 def _init_params(spec: ModelSpec, seeds) -> np.ndarray:
@@ -609,15 +596,16 @@ def _init_params(spec: ModelSpec, seeds) -> np.ndarray:
 
 
 def _train_stack(states: np.ndarray, labels: np.ndarray, spec: ModelSpec,
-                 cfg: TrainConfig, theta: np.ndarray) -> list:
+                 cfg: TrainConfig, theta: np.ndarray) -> np.ndarray:
     """train() for S models at once, one stacked gradient step per epoch.
 
     Model s fits the columns of states[s] (states is (S, dim, B)) to
     labels[s] from the initial parameters theta[s] (_init_params); cfg.seed
-    is unused. theta is updated in place, epoch by epoch, and the returned
-    models hold its rows, so a caller that trains from the same
-    initialization again passes a copy. Each model ends on the same bits
-    as train() gives it alone.
+    is unused. theta is updated in place, epoch by epoch, and ends holding
+    the trained parameters, so a caller that trains from the same
+    initialization again passes a copy. Returns the (S, epochs) log of
+    mean losses. Each model ends on the same bits as train() gives it
+    alone.
     """
     labels = _binary_labels(labels)
     if _per_qubit(spec.noise):
@@ -629,8 +617,7 @@ def _train_stack(states: np.ndarray, labels: np.ndarray, spec: ModelSpec,
     for epoch in range(cfg.epochs):
         log[:, epoch], grad = step(theta)
         theta -= np.multiply(cfg.learning_rate, grad, out=grad)
-
-    return [TrainedModel(spec=spec, params=t, train_log=l) for t, l in zip(theta, log)]
+    return log
 
 
 def eval_model(model: TrainedModel, noise: NoiseSpec) -> TrainedModel:

@@ -499,11 +499,15 @@ def test_worker_pool_matches_serial(dataset):
     assert serial.estimate == pooled.estimate
 
 
-@pytest.mark.parametrize("noise", [NoiseSpec.depolarizing(0.05), NoiseSpec.measurement(400)])
-def test_audit_does_not_depend_on_block_size(dataset, monkeypatch, noise):
+@pytest.mark.parametrize("noise, rule", [
+    pytest.param(NoiseSpec.depolarizing(0.05), "reference", id="noise0"),
+    pytest.param(NoiseSpec.measurement(400), "reference", id="noise1"),
+    pytest.param(NoiseSpec.measurement(400), "calibrated_median", id="shots-calibrated_median")])
+def test_audit_does_not_depend_on_block_size(dataset, monkeypatch, noise, rule):
     # 3 does not divide n = 8, so the last block is short; under shots each
-    # trial's evaluation draws must still come from its own stream in order
-    cfg = small_config(n=8, noise=noise)
+    # trial's evaluation draws must still come from its own stream in order.
+    # Under the paper's rule every block compares with the one global kappa
+    cfg = small_config(n=8, noise=noise, kappa_rule=rule)
     default = qc.audit(cfg, dataset)
     audit_module = importlib.import_module("qcanary.audit")
     for block in (1, 3):
@@ -518,6 +522,16 @@ def test_audit_does_not_depend_on_block_size(dataset, monkeypatch, noise):
         x_row, y_row = qc.run_trial(i, cfg, dataset)
         assert np.array_equal(x_row, default.trials.x[i])
         assert np.array_equal(y_row, default.trials.y[i])
+
+
+def test_feature_count_must_match_the_qubits(dataset):
+    # a 3-feature dataset against a 4-qubit model: every entry point says
+    # so, before it encodes a state
+    cfg = small_config(model=ModelSpec(qubits=4, ansatz_reps=2))
+    for call in (lambda: qc.audit(cfg, dataset), lambda: qc.calibrate_kappa(dataset, cfg),
+                 lambda: qc.run_trial(0, cfg, dataset)):
+        with pytest.raises(ValueError, match="qubits but the dataset has"):
+            call()
 
 
 def test_audit_across_full_blocks_does_not_depend_on_block_size(dataset, monkeypatch):
@@ -569,7 +583,9 @@ def test_block_evaluation_matches_model_by_model(noise):
     audited, references = models[:T], models[T:]
     for refs in (references, []):
         rngs = [np.random.default_rng(100 + t) for t in range(T)]
-        got = _evaluate_block(cfg, audited + refs, states, labels, rngs)
+        theta = np.stack([model.params for model in audited + refs])
+        got = _evaluate_block(cfg, theta, states, labels, rngs)
+        got = [got[t::T] for t in range(T)]
         assert len(got) == T
         for t in range(T):
             # model t reads trial t's 2K canaries, then its reference does
@@ -592,8 +608,9 @@ def test_block_trains_both_models_of_a_trial_from_one_init(dataset, monkeypatch)
     train_stack, stacks = audit_module._train_stack, []
 
     def recording(*args):
-        stacks.append(train_stack(*args))
-        return stacks[-1]
+        log = train_stack(*args)
+        stacks.append(args[-1])  # the stack's parameters, trained in place
+        return log
 
     monkeypatch.setattr(audit_module, "_train_stack", recording)
     cfg = small_config()
@@ -608,9 +625,9 @@ def test_block_trains_both_models_of_a_trial_from_one_init(dataset, monkeypatch)
         tcfg = replace(cfg.train, seed=int(rng.integers(2**63)))
         seen = np.vstack([base, _encode_rows(feats[:K], offsets[:K])])
         want = qc.train(seen, np.concatenate([dataset.labels, labels[:K]]), cfg.model, tcfg)
-        assert np.array_equal(audited[i].params.view(np.int64), want.params.view(np.int64)), i
+        assert np.array_equal(audited[i].view(np.int64), want.params.view(np.int64)), i
         want = qc.train(base, dataset.labels, cfg.model, tcfg)
-        assert np.array_equal(references[i].params.view(np.int64),
+        assert np.array_equal(references[i].view(np.int64),
                               want.params.view(np.int64)), i
 
 

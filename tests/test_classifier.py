@@ -10,8 +10,8 @@ import pytest
 import qcanary as qc
 from qcanary import ModelSpec, NoiseSpec, TrainConfig, TrainedModel
 from qcanary.classifier import (_bce, _engine_for, _GradientStep, _init_params, _label_probs,
-                                _Plan, _read_losses, _readout_rows, _stack_states, _train_stack,
-                                loss_gradient, mean_loss, P_CLAMP)
+                                _losses, _Plan, _stack_states, _train_stack, loss_gradient,
+                                mean_loss, P_CLAMP)
 from qcanary.circuits import (Gate, _gate_unitary, apply_circuit_density, apply_circuit_pure,
                               build_real_amplitudes, expectation, parameter_shift_gradient,
                               z_on_qubit)
@@ -232,11 +232,12 @@ def test_stacked_training_matches_one_model_at_a_time(rng, noise):
         labels = rng.integers(0, 2, size=(S, 9)).astype(float)
         seeds = [int(seed) for seed in rng.integers(2**63, size=S)]
         states = np.stack([_stack_states(d, spec.dim) for d in data])
-        stacked = _train_stack(states, labels, spec, cfg, _init_params(spec, seeds))
+        theta = _init_params(spec, seeds)
+        log = _train_stack(states, labels, spec, cfg, theta)
         for s in range(S):
             alone = qc.train(data[s], labels[s], spec, replace(cfg, seed=seeds[s]))
-            assert np.array_equal(stacked[s].params, alone.params), (S, s)
-            assert np.array_equal(stacked[s].train_log, alone.train_log), (S, s)
+            assert np.array_equal(theta[s], alone.params), (S, s)
+            assert np.array_equal(log[s], alone.train_log), (S, s)
 
 
 def _allocating_step(engine, states, labels, noise, theta):
@@ -253,7 +254,8 @@ def _allocating_step(engine, states, labels, noise, theta):
         products = (products[..., :, None] * factors[:, :, q, None, :]).reshape(S, L, -1)
     table = np.concatenate([products, -products], axis=-1).reshape(S, -1)
     layers = np.take(table, engine.gather, axis=1)
-    after, A = [None] * L, engine.obs
+    # Z on qubit 0, +1 on the first dim/2 basis states
+    after, A = [None] * L, np.diag(-engine.sign[0])
     for layer in range(L - 1, -1, -1):
         after[layer] = A
         V = layers[:, layer]
@@ -484,31 +486,33 @@ def test_warm_per_qubit_read_allocates_no_observable_per_qubit(rng):
     # an audit block's read under per-qubit noise: 64 models on 32
     # canaries each. The read builds the observable and applies each
     # qubit's channel in buffers its plan owns, so past the plan's own
-    # buffers a warm call allocates less than one (S, dim, dim) array
+    # buffers a warm call allocates less than one (S, dim, dim) array. The
+    # read leaves the readout rows' T unwritten, so its plan owns none
     import tracemalloc
 
     spec, S, B = ModelSpec(qubits=4, ansatz_reps=3), 64, 32
     noise = NoiseSpec.depolarizing(0.05, scope="per_qubit")
-    rows = _readout_rows(spec, rng.uniform(-1, 1, size=(S, spec.param_count)))
+    theta = rng.uniform(-1, 1, size=(S, spec.param_count))
     encoded = _encode_rows(rng.uniform(0, 1, size=(S * B, spec.qubits)))
     states = np.ascontiguousarray(encoded.reshape(S, B, spec.dim).transpose(0, 2, 1))
     labels = rng.integers(0, 2, size=(S, B)).astype(float)
-    _read_losses(spec, rows, noise, states, labels)  # warm-up
+    _losses(spec, theta, noise, states, labels)  # warm-up
     with np.errstate():  # restores the buffer size on exit
         np.setbufsize(16)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            plan = _Plan(_engine_for(spec), S, B, readout=rows, noise=noise)
+            plan = _Plan(_engine_for(spec), S, B, noise=noise)
             owned = tracemalloc.get_traced_memory()[0] - start
             del plan
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            _read_losses(spec, rows, noise, states, labels)
+            _losses(spec, theta, noise, states, labels)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
     assert peak - owned < S * spec.dim * spec.dim * 8, (peak, owned)
+    assert not hasattr(_Plan(_engine_for(spec), S, B, noise=noise), "T")
 
 
 def test_engine_layers_match_kron_reference(rng):
@@ -530,7 +534,7 @@ def test_engine_layers_match_kron_reference(rng):
         theta = np.vstack([rng.uniform(-np.pi, np.pi, size=(3, P)), np.zeros(P),
                            rng.choice([0.0, np.pi, -np.pi], size=(2, P))])
         engine = _engine_for(ModelSpec(qubits=qubits, ansatz_reps=reps))
-        got = engine.layers(_Plan(engine, len(theta)), theta)
+        got = engine.layers(_Plan(engine, len(theta), 1), theta)
         for s, layer in itertools.product(range(len(theta)), range(reps + 1)):
             want = np.ones((1, 1))
             for angle in theta[s, layer * qubits:(layer + 1) * qubits]:
@@ -550,8 +554,7 @@ def test_per_qubit_channel_matches_complex_pauli_products(rng):
         engine = _engine_for(ModelSpec(qubits=qubits, ansatz_reps=1))
         A = rng.normal(size=(S, 2**qubits, 2**qubits))
         A = A + A.transpose(0, 2, 1)
-        plan = _Plan(engine, S, 1, readout=np.zeros((S, 2**qubits // 2, 2**qubits)),
-                     noise=NoiseSpec.depolarizing(p, scope="per_qubit"))
+        plan = _Plan(engine, S, 1, noise=NoiseSpec.depolarizing(p, scope="per_qubit"))
         for q in range(qubits):
             plan.observables[q % 2] = A
             got = engine.depolarize_qubit(plan, q, p)
@@ -574,7 +577,10 @@ def test_engine_is_real(rng):
 
     model = qc.train(real, labels, spec, cfg)
     assert model.params.dtype == np.float64
-    assert _readout_rows(spec, model.params).dtype == np.float64
+    engine = _engine_for(spec)
+    plan = _Plan(engine, 1, len(real))
+    engine.layers(plan, model.params[None])
+    assert engine.walk_back(plan).dtype == np.float64
     twin_model = qc.train(twins, labels, spec, cfg)
     assert np.array_equal(twin_model.params, model.params)
     assert np.array_equal(qc.evaluate_losses(model, twins, labels),
