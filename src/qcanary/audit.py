@@ -44,7 +44,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily, at an audit's first draw)
 
 from .classifier import (ModelSpec, TrainConfig, _init_params, _losses, _per_qubit,
-                         _stack_states, _train_stack, eval_model, evaluate_losses, train)
+                         _train_stack, eval_model, evaluate_losses, train)
 from .data import Dataset
 from .encoding import OffsetSpec, _encode_rows, sample_offsets
 from .encoding import angle_encode, angle_encode_offset  # noqa: F401  (bench traces them as encoding.encode)
@@ -382,7 +382,9 @@ def theory_epsilon_measurement(N: int, d: float, r: int, mu: float,
         A / (mu (1 - mu)) * [ (1 - 2 mu - A) c^2 / (2 mu (1 - mu - A))
                               + c + A / 2 ]        with A = N d r,
 
-    which requires mu (1 - mu - A) > 0.
+    which requires mu (1 - mu - A) > 0 and a bracket that is not negative;
+    either failing raises DomainError. Where 1 - 2 mu - A < 0 the c^2 term
+    can outweigh c + A/2, and a negative epsilon is no ceiling.
     """
     if not N >= 1:
         raise ValueError(f"shot count {N} must be at least 1")
@@ -402,6 +404,10 @@ def theory_epsilon_measurement(N: int, d: float, r: int, mu: float,
     c = -sigma_stat * NormalDist().inv_cdf(tail) if tail < 0.5 else 0.0
 
     bracket = (1.0 - 2.0 * mu - A) * c * c / (2.0 * mu * (1.0 - mu - A)) + c + A / 2.0
+    if bracket < 0.0:
+        raise DomainError(
+            f"(1 - 2 mu - N d r) c^2 / (2 mu (1 - mu - N d r)) + c + N d r / 2 must be "
+            f"nonnegative: mu = {mu}, N d r = {A}, c = {c}")
     eps = A / (mu * (1.0 - mu)) * bracket
     return eps, c
 
@@ -480,13 +486,14 @@ def run_trial(trial_index: int, config: AuditConfig, dataset: Dataset):
 
 
 def _base_states(dataset: Dataset, config: AuditConfig) -> np.ndarray:
-    """The dataset's amplitude rows, encoded once per audit, after checking
+    """The dataset's encoded states as the engine's contiguous (dim, N)
+    block of amplitude columns, encoded once per audit, after checking
     that it has one feature per qubit of the model."""
     if dataset.feature_count != config.model.qubits:
         raise ValueError(
             f"model has {config.model.qubits} qubits but the dataset has "
             f"{dataset.feature_count} features")
-    return _encode_rows(dataset.features)
+    return np.ascontiguousarray(_encode_rows(dataset.features).T)
 
 
 def _draw_canaries(fit, config: AuditConfig, count: int, rngs):
@@ -515,8 +522,8 @@ def _run_block(indices: range, config: AuditConfig, dataset: Dataset,
     """run_trial's rows for T consecutive trials: the (T, K) seen and (T, K)
     unseen indicators, and the (T, 2K) per-canary thresholds, seen then
     unseen: the reference losses under the 'reference' rule, else the
-    calibrated global kappa. base_states are the dataset's amplitude rows,
-    encoded once per audit.
+    calibrated global kappa. base_states is the dataset's (dim, N) block
+    (_base_states), encoded once per audit.
 
     A trial's stream draws its canaries and offsets (_draw_canaries, the
     whole block at once), then its initialization seed. The initialization
@@ -544,13 +551,13 @@ def _run_block(indices: range, config: AuditConfig, dataset: Dataset,
     N = dataset.size
     base_labels = np.broadcast_to(dataset.labels, (T, N))
     seen = np.empty((T, dim, N + K))
-    seen[:, :, :N] = base_states.T
+    seen[:, :, :N] = base_states
     seen[:, :, N:] = phi2[:, :K].transpose(0, 2, 1)
     theta = np.tile(init, (2 if reference else 1, 1))
     _train_stack(seen, np.concatenate([base_labels, labels[:, :K]], axis=1),
                  config.model, config.train, theta[:T])
     if reference:
-        base = np.broadcast_to(_stack_states(base_states, dim), (T, dim, N))
+        base = np.broadcast_to(base_states, (T, dim, N))
         _train_stack(base, base_labels, config.model, config.train, theta[T:])
 
     # read: each trial's losses from its own stream in the order of a lone
@@ -567,12 +574,13 @@ def _evaluate_block(config: AuditConfig, theta: np.ndarray, states: np.ndarray,
     config.noise: model s reads trial t = s % T's states[t] against
     labels[t], T = len(rngs), so the T audited models come first and any
     references follow in the same trial order. Every model reads in one
-    stack; under shots model s draws from rngs[t], in model order, so
-    every loss and every shot draw equals evaluate_losses on that model
-    alone."""
+    stack; under shots model s is handed rngs[t], one generator per model,
+    so each trial's stream draws for model t before model T + t, and every
+    loss and every shot draw equals evaluate_losses on that model alone."""
     reads = np.arange(len(theta)) % len(rngs)
     stacked = np.ascontiguousarray(states.transpose(0, 2, 1))[reads]
-    return _losses(config.model, theta, config.noise, stacked, labels[reads], rngs)
+    return _losses(config.model, theta, config.noise, stacked, labels[reads],
+                   [rngs[t] for t in reads])
 
 
 def __getattr__(name: str):
@@ -604,8 +612,8 @@ def _calibration(dataset: Dataset, config: AuditConfig,
                  base_states: np.ndarray | None = None):
     """Reference-model kappa and the smallest outcome probability.
 
-    The reference model trains on the dataset alone (base_states, its
-    encoded features, encoded here when not given); its median loss over
+    The reference model trains on the dataset alone (base_states, passed
+    to train() as rows, encoded here when not given); its median loss over
     fresh canaries becomes the rejection threshold. The same canaries,
     read without noise whatever regime the model trained under, provide
     mu for the finite-shot bound, floored at MU_FLOOR.
@@ -615,7 +623,7 @@ def _calibration(dataset: Dataset, config: AuditConfig,
     rng = np.random.default_rng(_kappa_seed_seq(config))
     init_seed = int(rng.integers(2**63))
     tcfg = replace(config.train, seed=init_seed)
-    reference = train(base_states, dataset.labels, config.model, tcfg)
+    reference = train(base_states.T, dataset.labels, config.model, tcfg)
 
     feats, labels, offsets = _draw_canaries(_canary_fit(dataset), config,
                                             CALIBRATION_CANARIES, [rng])

@@ -90,10 +90,7 @@ class TrainedModel:
     train_log: np.ndarray
 
     def __post_init__(self):
-        got = np.asarray(self.params).size
-        if got != self.spec.param_count:
-            raise ValueError(
-                f"spec wants {self.spec.param_count} parameters, got {got}")
+        _theta(self.spec, self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +199,10 @@ class _Engine:
             np.matmul(a, b, out=out)
         return plan.rows
 
-    def read(self, plan: "_Plan", noise: NoiseSpec, states: np.ndarray, rngs=()) -> np.ndarray:
+    def read(self, plan: "_Plan", states: np.ndarray, rngs=()) -> np.ndarray:
         """p[s, b], the clamped probability that model s, whose readout rows
         are plan.readout[s] = R_0 (walk_back), reads class 1 from column b
-        of states[s] under noise: (S, dim, B) states -> the plan's (S, B) p.
+        of states[s] under plan.noise: (S, dim, B) states -> (S, B) plan.p.
 
         This is the one place noise touches the engine. Noiseless, p is the
         Born rule, sum_i T_ib^2 with T = R_0 psi, the plan's (S, dim/2, B)
@@ -218,11 +215,11 @@ class _Engine:
         built for that noise, and its plan has no T; subtracting I touches
         only A's diagonal, since 2a - 0 is 2a to the bit. Under shots p of
         model s becomes the share of outcome 0 in a binomial count drawn
-        from its exact p with rngs[s % len(rngs)], in model order, so a
-        model read in a stack draws from its generator what it draws read
-        alone; with no rngs, as in training, shots are ignored.
+        from its exact p with rngs[s], one generator per model, in model
+        order, so a model read in a stack draws from its generator what it
+        draws read alone; with no rngs, as in training, shots are ignored.
         """
-        rows, p = plan.readout, plan.p
+        rows, p, noise = plan.readout, plan.p, plan.noise
         if _per_qubit(noise):
             A = plan.observables[0]
             np.matmul(plan.readout_T, rows, out=A)
@@ -239,7 +236,7 @@ class _Engine:
                 np.add(np.multiply(1.0 - noise.p, p, out=p), noise.p / 2.0, out=p)
             elif noise.kind == "measurement_shots" and rngs:
                 for s in range(len(p)):
-                    rng = rngs[s % len(rngs)]
+                    rng = rngs[s]
                     if rng is None:
                         raise ValueError("finite-shot evaluation needs an explicit rng")
                     p[s] = rng.binomial(noise.shots, np.clip(p[s], 0.0, 1.0)) / noise.shots
@@ -287,19 +284,19 @@ class _Engine:
 
 
 class _Plan:
-    """One stack's epoch, laid out once: every buffer the engine writes for
-    S models on B states and every view it reads, so that _Engine.layers,
-    walk_back, read and generator_traces neither slice, reshape nor
-    allocate when called.
+    """One stack's epoch under one noise regime, laid out once: every
+    buffer the engine writes for S models on B states and every view it
+    reads, so that _Engine.layers, walk_back, read and generator_traces
+    neither slice, reshape nor allocate when called.
 
     _losses builds one for a read, and _GradientStep one with the walk
     forward and the trace gather too (gradient=True), once for a whole
     training call. theta/2 goes into the half of the factor buffer that
     then holds the sines, and each qubit's layer products alternate
-    between the two rows of work. A read under per-qubit noise (noise)
-    gets the channel's buffers in place of T: the observable A and the
-    channel's output alternate between two (S, dim, dim) buffers, qubit by
-    qubit, with a third for A's flip and one for A psi.
+    between the two rows of work. A plan for per-qubit noise gets the
+    channel's buffers in place of T: the observable A and the channel's
+    output alternate between two (S, dim, dim) buffers, qubit by qubit,
+    with a third for A's flip and one for A psi.
 
     A gradient plan writes late products into buffers of early ones the
     epoch no longer reads:
@@ -320,8 +317,9 @@ class _Plan:
     along a reduced axis that is the inner loop.
     """
 
-    def __init__(self, engine: _Engine, S: int, B: int, gradient: bool = False,
-                 noise: NoiseSpec | None = None):
+    def __init__(self, engine: _Engine, S: int, B: int, noise: NoiseSpec,
+                 gradient: bool = False):
+        self.noise = noise
         L, n, dim = engine.reps + 1, engine.n, engine.dim
         half, SL = dim // 2, S * L
         factors = np.empty((2, SL, n))
@@ -344,7 +342,7 @@ class _Plan:
                           for layer in range(L - 2, -1, -1)]
         self.readout = self.rows[:, 0]
         self.p = np.empty((S, B))  # p, then ln q
-        if noise is not None and _per_qubit(noise):
+        if _per_qubit(noise):
             self.readout_T = self.readout.transpose(0, 2, 1)
             observables = np.empty((2, S, dim, dim))
             flat = observables.reshape(2, S, dim * dim)
@@ -427,36 +425,40 @@ def _bce(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -np.log(_label_probs(p, 1.0 - labels))
 
 
-def _binary_labels(labels) -> np.ndarray:
-    labels = np.asarray(labels, dtype=float)
-    if not np.all((labels == 0.0) | (labels == 1.0)):
-        raise ValueError("labels must be 0 or 1")
-    return labels
-
-
-def _batch_labels(states, labels) -> np.ndarray:
-    """labels as a flat float array, checked against a nonempty batch of states."""
+def _batch(states, labels, dim: int):
+    """The public calls' one check of a batch: nonempty states (a sequence,
+    or (B, dim) amplitude rows) with one label of 0 or 1 each. Returns
+    their (dim, B) block (_stack_states) and the labels as flat floats."""
     labels = np.asarray(labels, dtype=float).ravel()
     if len(states) == 0:
         raise ValueError("no states in the batch")
     if len(states) != labels.size:
         raise ValueError("states and labels differ in length")
-    return labels
+    if not np.all((labels == 0.0) | (labels == 1.0)):
+        raise ValueError("labels must be 0 or 1")
+    return _stack_states(states, dim), labels
+
+
+def _theta(spec: ModelSpec, params) -> np.ndarray:
+    """One model's parameters as a (1, P) theta, checked against the spec."""
+    theta = np.asarray(params, dtype=float).reshape(1, -1)
+    if theta.size != spec.param_count:
+        raise ValueError(f"spec wants {spec.param_count} parameters, got {theta.size}")
+    return theta
 
 
 def _losses(spec: ModelSpec, theta: np.ndarray, noise: NoiseSpec, states: np.ndarray,
             labels: np.ndarray, rngs=()) -> np.ndarray:
     """Every model's losses, (S, B): model s, with the parameters theta[s]
     of the (S, P) theta, reads the columns of states[s] against labels[s]
-    under noise, shots drawn as _Engine.read draws them. One plan holds
-    the layer gather, the walk back and the read. The callers check the
-    labels: evaluate_losses and mean_loss check them, the audit generates
-    its own."""
+    under noise, shots drawn from rngs[s] as _Engine.read draws them. One
+    plan, built for noise, holds the layer gather, the walk back and the
+    read. Nothing is checked: the public calls check theirs (_batch)."""
     engine = _engine_for(spec)
-    plan = _Plan(engine, len(theta), states.shape[-1], noise=noise)
+    plan = _Plan(engine, len(theta), states.shape[-1], noise)
     engine.layers(plan, theta)
     engine.walk_back(plan)
-    return _bce(engine.read(plan, noise, states, rngs), labels)
+    return _bce(engine.read(plan, states, rngs), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -470,17 +472,16 @@ def evaluate_losses(model: TrainedModel, states, labels,
     states is a sequence of encoded states or a (B, dim) array of
     amplitude rows."""
     spec = model.spec
-    labels = _batch_labels(states, _binary_labels(labels))
+    states_T, labels = _batch(states, labels, spec.dim)
     return _losses(spec, np.reshape(model.params, (1, -1)), spec.noise,
-                   _stack_states(states, spec.dim)[None], labels[None], [rng])[0]
+                   states_T[None], labels[None], [rng])[0]
 
 
 def mean_loss(spec: ModelSpec, params: np.ndarray, states, labels) -> float:
     """Noiseless exact-expectation mean loss, the quantity training descends."""
-    labels = _batch_labels(states, _binary_labels(labels))
-    theta = np.asarray(params, dtype=float).reshape(1, -1)
-    return float(_losses(spec, theta, NoiseSpec.none(), _stack_states(states, spec.dim)[None],
-                         labels[None])[0].mean())
+    theta = _theta(spec, params)
+    states_T, labels = _batch(states, labels, spec.dim)
+    return float(_losses(spec, theta, NoiseSpec.none(), states_T[None], labels[None])[0].mean())
 
 
 def loss_gradient(spec: ModelSpec, params: np.ndarray, states, labels) -> np.ndarray:
@@ -489,11 +490,10 @@ def loss_gradient(spec: ModelSpec, params: np.ndarray, states, labels) -> np.nda
     One walk back from the readout and one walk forward from the data,
     whatever the parameter count (see _GradientStep).
     """
-    theta = np.asarray(params, dtype=float).reshape(1, -1)
-    labels = _binary_labels(_batch_labels(states, labels))[None]
-    states_T = _stack_states(states, spec.dim)
-    _, grad = _GradientStep(_engine_for(spec), states_T[None], labels, NoiseSpec.none())(theta)
-    return grad[0]
+    theta = _theta(spec, params)
+    states_T, labels = _batch(states, labels, spec.dim)
+    step = _GradientStep(_engine_for(spec), states_T[None], labels[None], NoiseSpec.none())
+    return step(theta)[1][0]
 
 
 class _GradientStep:
@@ -545,8 +545,8 @@ class _GradientStep:
     def __init__(self, engine: _Engine, states: np.ndarray, labels: np.ndarray,
                  noise: NoiseSpec):
         S, _, B = states.shape
-        self.engine, self.states, self.noise = engine, states, noise
-        self.plan = _Plan(engine, S, B, gradient=True)
+        self.engine, self.states = engine, states
+        self.plan = _Plan(engine, S, B, noise, gradient=True)
         self.off = 1.0 - labels
         self.dldp_sign = np.where(labels == 1.0, -1.0, 1.0)  # dL/dp = -1/q or 1/q
         self.B = B
@@ -555,7 +555,7 @@ class _GradientStep:
         engine, plan = self.engine, self.plan
         engine.layers(plan, theta)
         engine.walk_back(plan)
-        p = engine.read(plan, self.noise, self.states)
+        p = engine.read(plan, self.states)
         q = _label_probs(p, self.off, out=plan.q)
         # the mean of -ln q, as the sum of ln q over -B
         loss = np.add.reduce(np.log(q, out=p), axis=-1, out=plan.loss)
@@ -578,11 +578,14 @@ def train(states, labels, spec: ModelSpec, cfg: TrainConfig) -> TrainedModel:
     initialization, all in float64 on real states (see _stack_states).
     Global depolarizing noise in spec.noise acts on the probability the
     loss reads, the gradient's circuit derivative stays noiseless, and
-    shots are ignored; per-qubit noise is not supported. Deterministic for
-    a fixed seed, which draws the initialization.
+    shots are ignored; per-qubit noise is refused, as is a batch _batch
+    rejects. Deterministic for a fixed seed, which draws the initialization.
     """
-    labels = _batch_labels(states, labels)
-    states_T = _stack_states(states, spec.dim)
+    if _per_qubit(spec.noise):
+        raise NotImplementedError(
+            "training under per-qubit depolarizing noise is not supported; "
+            "use global scope or evaluate noise at audit time only")
+    states_T, labels = _batch(states, labels, spec.dim)
     theta = _init_params(spec, [cfg.seed])
     log = _train_stack(states_T[None], labels[None], spec, cfg, theta)
     return TrainedModel(spec=spec, params=theta[0], train_log=log[0])
@@ -599,19 +602,15 @@ def _train_stack(states: np.ndarray, labels: np.ndarray, spec: ModelSpec,
                  cfg: TrainConfig, theta: np.ndarray) -> np.ndarray:
     """train() for S models at once, one stacked gradient step per epoch.
 
-    Model s fits the columns of states[s] (states is (S, dim, B)) to
-    labels[s] from the initial parameters theta[s] (_init_params); cfg.seed
-    is unused. theta is updated in place, epoch by epoch, and ends holding
-    the trained parameters, so a caller that trains from the same
+    Model s fits the columns of states[s] (states is (S, dim, B)) to the
+    {0, 1} labels[s] from the initial parameters theta[s] (_init_params);
+    cfg.seed is unused. Nothing is checked: train() and AuditConfig refuse
+    per-qubit noise. theta is updated in place, epoch by epoch, and ends
+    holding the trained parameters, so a caller that trains from the same
     initialization again passes a copy. Returns the (S, epochs) log of
     mean losses. Each model ends on the same bits as train() gives it
     alone.
     """
-    labels = _binary_labels(labels)
-    if _per_qubit(spec.noise):
-        raise NotImplementedError(
-            "training under per-qubit depolarizing noise is not supported; "
-            "use global scope or evaluate noise at audit time only")
     step = _GradientStep(_engine_for(spec), states, labels, spec.noise)
     log = np.empty((len(theta), cfg.epochs))
     for epoch in range(cfg.epochs):

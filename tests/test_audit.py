@@ -192,6 +192,26 @@ def test_estimate_epsilon_betting_formula():
         qc.estimate_epsilon(x, y, 0.05, estimator="hoeffding")
 
 
+def test_estimate_epsilon_spends_half_of_beta_on_each_bound(rng):
+    # the reported failure probability is beta only if each bound the
+    # estimate combines holds at 1 - beta/2: every bound it reports must be
+    # the public one-sided bound at beta/2 on the same matrices
+    for _ in range(12):
+        n, K = int(rng.integers(2, 80)), int(rng.integers(1, 17))
+        x = (rng.random((n, K)) < rng.uniform(0.2, 1.0)).astype(np.uint8)
+        y = (rng.random((n, K)) < rng.uniform(0.0, 0.8)).astype(np.uint8)
+        beta = float(rng.uniform(0.01, 0.5))
+        eta = beta / 2.0
+        bet = qc.estimate_epsilon(x, y, beta)
+        diff = 0.5 * (x.mean(axis=1) - y.mean(axis=1) + 1.0)
+        assert bet.p1_lower == qc.betting_lower(x, eta), (n, K, beta)
+        assert bet.p0_upper == qc.betting_upper(y, eta), (n, K, beta)
+        assert bet.gap_lower == 2.0 * qc.betting_lower(diff, eta) - 1.0, (n, K, beta)
+        paper = qc.estimate_epsilon(x, y, beta, estimator="bernstein")
+        assert paper.p1_lower == qc.bound_lower(x, eta), (n, K, beta)
+        assert paper.p0_upper == qc.bound_upper(y, eta), (n, K, beta)
+
+
 def test_estimate_epsilon_rejects_beta_outside_unit_interval():
     # beta/2 would pass the bounds' own (0, 1) checks for beta in [1, 2)
     x = np.ones((8, 2))
@@ -270,6 +290,15 @@ def test_measurement_bound_domain_error_names_condition():
     with pytest.raises(DomainError) as err:
         qc.theory_epsilon_measurement(10000, 0.9, 1, 0.5, 0.01)
     assert "mu" in str(err.value) and "N d r" in str(err.value)
+
+
+def test_measurement_bound_is_never_negative():
+    # inside mu (1 - mu - N d r) > 0, a negative 1 - 2 mu - N d r can make
+    # the c^2 term outweigh c + N d r / 2; a negative epsilon is no ceiling
+    with pytest.raises(DomainError, match="must be nonnegative"):
+        qc.theory_epsilon_measurement(50, 0.01089, 1, 0.45, 0.01)
+    eps, _ = qc.theory_epsilon_measurement(50, 0.01, 1, 0.45, 0.01)
+    assert eps > 0.0
 
 
 def test_measurement_bound_residual_small():
@@ -629,6 +658,39 @@ def test_block_trains_both_models_of_a_trial_from_one_init(dataset, monkeypatch)
         want = qc.train(base, dataset.labels, cfg.model, tcfg)
         assert np.array_equal(references[i].view(np.int64),
                               want.params.view(np.int64)), i
+
+
+def test_reference_does_not_depend_on_which_canaries_are_seen(dataset, monkeypatch):
+    # seen and unseen canaries are exchangeable only if the reference, and
+    # the initialization it shares with the audited model, ignore which
+    # half is seen: swapping each trial's halves must leave every trained
+    # reference on its bits and move the audited models
+    audit_module = importlib.import_module("qcanary.audit")
+    train_stack, draw = audit_module._train_stack, audit_module._draw_canaries
+
+    def trained(cfg):
+        stacks = []
+
+        def recording(*args):
+            log = train_stack(*args)
+            stacks.append(args[-1].copy())
+            return log
+
+        monkeypatch.setattr(audit_module, "_train_stack", recording)
+        qc.audit(cfg, dataset)
+        return stacks
+
+    def swapped(fit, config, count, rngs):
+        half = count // 2
+        return tuple(np.concatenate([m[:, half:], m[:, :half]], axis=1)
+                     for m in draw(fit, config, count, rngs))
+
+    cfg = small_config(n=8)
+    audited, references = trained(cfg)
+    monkeypatch.setattr(audit_module, "_draw_canaries", swapped)
+    audited_swapped, references_swapped = trained(cfg)
+    assert np.array_equal(references_swapped.view(np.int64), references.view(np.int64))
+    assert not np.array_equal(audited_swapped, audited)
 
 
 @pytest.mark.parametrize("rule, per_trial", [("reference", 2), ("calibrated_median", 1)])

@@ -29,3 +29,12 @@ def test_bench_imports_and_traced_names_exist(bench_modules):
     finally:
         tracer.restore()
     assert workloads.audit_mod.train is original
+
+
+def test_forward_check_passes_on_every_audit_workload(bench_modules):
+    # the benchmark's forward check trains and reads through the public
+    # calls and compares them with its own reference; a break fails here,
+    # not in a benchmark run
+    workloads, _ = bench_modules
+    for name, workload in workloads.AUDITS.items():
+        assert workloads.forward_check(workload, 0) == [], name

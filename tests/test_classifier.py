@@ -57,6 +57,16 @@ def test_loss_values():
             fn(spec, params, [], [])
 
 
+def test_training_loss_and_gradient_check_the_parameter_count(rng):
+    # one value must not spread over every slot, and five must not fail
+    # inside numpy: both calls refuse a vector of the wrong length
+    spec = ModelSpec(qubits=4, ansatz_reps=3)
+    states = [qc.angle_encode(rng.uniform(0, 1, 4)) for _ in range(3)]
+    for fn, got in itertools.product((mean_loss, loss_gradient), (1, 5)):
+        with pytest.raises(ValueError, match=f"spec wants 16 parameters, got {got}"):
+            fn(spec, np.full(got, 0.3), states, [0, 1, 1])
+
+
 def test_loss_clamp_keeps_values_finite():
     model = _fixed_model()
     st = qc.angle_encode([1.0])  # p = 0 exactly
@@ -312,7 +322,7 @@ def test_generator_traces_read_the_cx_permuted_generators(rng):
     for qubits, reps in itertools.product(range(1, 6), range(1, 4)):
         engine = _engine_for(ModelSpec(qubits=qubits, ansatz_reps=reps))
         S, L, dim = 3, reps + 1, engine.dim
-        plan = _Plan(engine, S, 1, gradient=True)
+        plan = _Plan(engine, S, 1, NoiseSpec.none(), gradient=True)
         layers = engine.layers(plan, rng.uniform(-np.pi, np.pi, size=(S, L * qubits))).copy()
         Y = rng.normal(size=(S, L, dim, dim))
         plan.layers[...] = Y
@@ -329,7 +339,7 @@ def test_generator_traces_read_the_cx_permuted_generators(rng):
     for qubits, S in itertools.product(range(1, 6), (1, 3, 32)):
         engine = _engine_for(ModelSpec(qubits=qubits, ansatz_reps=2))
         L, dim, P = 3, engine.dim, 3 * qubits
-        plan = _Plan(engine, S, 1, gradient=True)
+        plan = _Plan(engine, S, 1, NoiseSpec.none(), gradient=True)
         plan.layers[...] = rng.normal(size=(S, L, dim, dim))
         entries = (plan.layers.reshape(S, -1)[:, engine.generator_offsets]
                    * engine.generator_signs).reshape(S, dim, P)
@@ -370,11 +380,11 @@ def test_walk_back_keeps_the_readout_rows(rng):
         theta = rng.uniform(-np.pi, np.pi, size=(S, spec.param_count))
         encoded = [qc.angle_encode(rng.uniform(0, 1, qubits)) for _ in range(5)]
         states = np.broadcast_to(_stack_states(encoded, dim), (S, dim, len(encoded)))
-        plan = _Plan(engine, S, len(encoded))
+        plan = _Plan(engine, S, len(encoded), NoiseSpec.none())
         layers = engine.layers(plan, theta)
         rows = engine.walk_back(plan)
         assert rows.shape == (S, L, half, dim)
-        p = engine.read(plan, NoiseSpec.none(), states)
+        p = engine.read(plan, states)
         for s in range(S):
             where = f"{qubits} qubits, {reps} reps, model {s}"
             product = np.eye(dim)
@@ -534,7 +544,7 @@ def test_engine_layers_match_kron_reference(rng):
         theta = np.vstack([rng.uniform(-np.pi, np.pi, size=(3, P)), np.zeros(P),
                            rng.choice([0.0, np.pi, -np.pi], size=(2, P))])
         engine = _engine_for(ModelSpec(qubits=qubits, ansatz_reps=reps))
-        got = engine.layers(_Plan(engine, len(theta), 1), theta)
+        got = engine.layers(_Plan(engine, len(theta), 1, NoiseSpec.none()), theta)
         for s, layer in itertools.product(range(len(theta)), range(reps + 1)):
             want = np.ones((1, 1))
             for angle in theta[s, layer * qubits:(layer + 1) * qubits]:
@@ -578,7 +588,7 @@ def test_engine_is_real(rng):
     model = qc.train(real, labels, spec, cfg)
     assert model.params.dtype == np.float64
     engine = _engine_for(spec)
-    plan = _Plan(engine, 1, len(real))
+    plan = _Plan(engine, 1, len(real), spec.noise)
     engine.layers(plan, model.params[None])
     assert engine.walk_back(plan).dtype == np.float64
     twin_model = qc.train(twins, labels, spec, cfg)

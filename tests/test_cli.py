@@ -296,6 +296,14 @@ def test_bounds_domain_error_exits_1(capsys):
     assert "mu" in capsys.readouterr().err
 
 
+def test_bounds_negative_ceiling_exits_1(capsys):
+    # inside the domain mu (1 - mu - N d r) > 0, yet the closed form is
+    # negative here: a ceiling below 0 is a failure, not a result
+    code = main(["bounds", "--d", "0.01089", "--shots", "50", "--mu", "0.45"])
+    assert code == 1
+    assert "nonnegative" in capsys.readouterr().err
+
+
 def test_coverage_command(tmp_path):
     out = str(tmp_path / "cov.json")
     assert main(["coverage", "--replications", "30", "--n", "64",
