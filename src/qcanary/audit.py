@@ -77,6 +77,10 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class AuditConfig:
+    """An audit's settings. train.seed is unused by audit, run_trial and
+    calibrate_kappa: every initialization comes from a trial's stream or
+    the calibration stream."""
+
     n: int
     K: int
     d: float
@@ -89,7 +93,6 @@ class AuditConfig:
     estimator: str = "betting"
     seed: int = 0
     theory_delta: float = 0.01
-    theory_r: int = 1
 
     def __post_init__(self):
         if self.n < 2 or self.K < 1:
@@ -102,8 +105,6 @@ class AuditConfig:
             raise ValueError(f"offset tail probability {self.delta_conf} not in (0, 1)")
         if not 0.0 < self.theory_delta < 1.0:
             raise ValueError(f"theory_delta {self.theory_delta} not in (0, 1)")
-        if self.theory_r < 1:  # rank 0 would give a ceiling of 0 for a mechanism that leaks
-            raise ValueError(f"projector rank {self.theory_r} must be at least 1")
         if self.kappa_rule not in KAPPA_RULES:
             raise ValueError(f"unknown kappa rule {self.kappa_rule!r}")
         if self.estimator not in ESTIMATORS:
@@ -368,8 +369,11 @@ def theory_epsilon_measurement(N: int, d: float, r: int, mu: float,
                                target_delta: float):
     """(epsilon, c) for the finite-shot measurement mechanism.
 
-    N is the shot count, d the state distance, r the largest projector
-    rank, mu the smallest outcome probability. c solves
+    N is the shot count, d the state distance, r a rank factor, mu the
+    smallest outcome probability. For a two-outcome readout {Pi, I - Pi}
+    with 0 <= Pi <= I, |tr Pi (rho - sigma)| <= T(rho, sigma) <= d whatever
+    rank(Pi) is, so each shot's outcome probability moves by at most d, N
+    shots move the count's mean by at most N d = A, and r = 1. c solves
 
         target_delta = sqrt(2 pi) sigma erfc(c / (sqrt(2) sigma)),
         sigma = sqrt(mu (1 - mu) / N),
@@ -388,8 +392,8 @@ def theory_epsilon_measurement(N: int, d: float, r: int, mu: float,
     """
     if not N >= 1:
         raise ValueError(f"shot count {N} must be at least 1")
-    if not (d >= 0.0 and r >= 0):  # NaN fails too
-        raise ValueError("need d >= 0 and r >= 0")
+    if not (d >= 0.0 and r >= 1):  # NaN fails too; r = 0 would give a ceiling of 0
+        raise ValueError("need d >= 0 and r >= 1")
     if not 0.0 < target_delta < 1.0:
         raise ValueError(f"target_delta {target_delta} not in (0, 1)")
     if not 0.0 < mu < 1.0:  # NaN fails too
@@ -608,18 +612,15 @@ def _median(values) -> float:
     return float(np.mean(part[middle[0]:half + 1]))
 
 
-def _calibration(dataset: Dataset, config: AuditConfig,
-                 base_states: np.ndarray | None = None):
+def _calibration(dataset: Dataset, config: AuditConfig, base_states: np.ndarray):
     """Reference-model kappa and the smallest outcome probability.
 
-    The reference model trains on the dataset alone (base_states, passed
-    to train() as rows, encoded here when not given); its median loss over
+    The reference model trains on the dataset alone (base_states, the
+    _base_states block, passed to train() as rows); its median loss over
     fresh canaries becomes the rejection threshold. The same canaries,
     read without noise whatever regime the model trained under, provide
     mu for the finite-shot bound, floored at MU_FLOOR.
     """
-    if base_states is None:
-        base_states = _base_states(dataset, config)
     rng = np.random.default_rng(_kappa_seed_seq(config))
     init_seed = int(rng.integers(2**63))
     tcfg = replace(config.train, seed=init_seed)
@@ -642,11 +643,12 @@ def calibrate_kappa(dataset: Dataset, config: AuditConfig) -> float:
     """The paper's global rejection threshold, the calibrated median. The
     'reference' rule compares per canary and does not use it.
     """
-    kappa, _ = _calibration(dataset, config)
-    return kappa
+    return _calibration(dataset, config, _base_states(dataset, config))[0]
 
 
 def _theory_for(config: AuditConfig, mu_est: float | None) -> dict:
+    """config.noise's closed-form ceiling and its inputs. The finite-shot one
+    takes r = 1, which any two-outcome readout proves (theory_epsilon_measurement)."""
     noise = config.noise
     if noise.kind == "depolarizing":
         params = {"p": noise.p, "d": config.d, "D": 2**config.model.qubits,
@@ -657,12 +659,11 @@ def _theory_for(config: AuditConfig, mu_est: float | None) -> dict:
         eps = theory_epsilon_depolarizing(noise.p, config.d, params["D"])
         return {"kind": "depolarizing", "epsilon": eps, "params": params}
     if noise.kind == "measurement_shots":
-        params = {"N": noise.shots, "d": config.d, "r": config.theory_r,
+        params = {"N": noise.shots, "d": config.d, "r": 1,
                   "mu": mu_est, "mu_floor": MU_FLOOR,
                   "target_delta": config.theory_delta}
         try:
-            eps, c = theory_epsilon_measurement(noise.shots, config.d,
-                                                config.theory_r, mu_est,
+            eps, c = theory_epsilon_measurement(noise.shots, config.d, 1, mu_est,
                                                 config.theory_delta)
             return {"kind": "measurement_shots", "epsilon": eps, "c": c,
                     "params": params}

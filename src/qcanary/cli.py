@@ -59,7 +59,6 @@ CONFIG_SCHEMA = {
     "audit.estimator": ("str", "betting"),
     "audit.seed": ("int", 0),
     "audit.theory_delta": ("float", 0.01),
-    "audit.theory_r": ("int", 1),
     "noise.kind": ("str", "depolarizing"),
     "noise.p": ("float", 0.05),
     "noise.shots": ("int", 0),
@@ -153,8 +152,7 @@ def build_audit_config(doc: dict) -> AuditConfig:
             delta_conf=doc["audit.delta_conf"], beta=doc["audit.beta"],
             kappa_rule=doc["audit.kappa_rule"],
             estimator=doc["audit.estimator"], seed=doc["audit.seed"],
-            theory_delta=doc["audit.theory_delta"],
-            theory_r=doc["audit.theory_r"])
+            theory_delta=doc["audit.theory_delta"])
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
@@ -445,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="Hilbert dimension for the depolarizing bound")
     p_bounds.add_argument("--shots", type=int, help="measurement shot count")
     p_bounds.add_argument("--r", type=int, default=1,
-                          help="projector rank for the finite-shot bound")
+                          help="finite-shot rank factor, 1 for a two-outcome readout")
     p_bounds.add_argument("--mu", type=float,
                           help="smallest outcome probability")
     p_bounds.add_argument("--target-delta", type=float, default=0.01)

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import itertools
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 import qcanary as qc
 from qcanary import AuditConfig, DomainError, ModelSpec, NoiseSpec, TrainConfig
-from qcanary.audit import _calibration, _evaluate_block, _median, _plugin_bets
+from qcanary.audit import _base_states, _calibration, _evaluate_block, _median, _plugin_bets
 from qcanary.encoding import _encode_rows
 
 
@@ -311,6 +312,49 @@ def test_measurement_bound_residual_small():
             assert abs(resid) < 1e-10
 
 
+def _binomial_pmf(N: int, q: float) -> list:
+    return [math.exp(math.lgamma(N + 1) - math.lgamma(k + 1) - math.lgamma(N - k + 1)
+                     + k * math.log(q) + (N - k) * math.log1p(-q)) for k in range(N + 1)]
+
+
+def _exact_shot_epsilon(N: int, q: float, d: float, delta: float) -> float:
+    """The smallest epsilon at which the hockey-stick divergence between
+    Bin(N, q) and Bin(N, q + d), taken both ways, is at most delta (Balle
+    et al., arXiv:1905.09982), by bisection to 1e-9."""
+    P, Q = _binomial_pmf(N, q), _binomial_pmf(N, q + d)
+
+    def holds(eps: float) -> bool:
+        w = math.exp(eps)
+        return max(sum(max(0.0, a - w * b) for a, b in zip(P, Q)),
+                   sum(max(0.0, b - w * a) for a, b in zip(P, Q))) <= delta
+
+    if holds(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while not holds(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
+
+
+def test_measurement_bound_covers_the_exact_binomial_epsilon():
+    # the r = 1 ceiling against the exact epsilon of N shots whose outcome
+    # probability moves by d, at 5 values of q in [mu, 1 - mu - d]. The grid
+    # stays at N d <= (1 - mu) / 2 on purpose: near the edge of the domain
+    # the closed form is no ceiling (a FOUND line in CHANGES.md; at N = 50,
+    # mu = 0.45, N d = 0.9 (1 - mu) and delta = 1e-3 it gives 0.280 against
+    # an exact 0.299)
+    for N, mu, share, delta in itertools.product((50, 400), (0.05, 0.2, 0.45),
+                                                 (0.1, 0.5), (1e-3, 1e-2)):
+        d = share * (1.0 - mu) / N
+        ceiling, _ = qc.theory_epsilon_measurement(N, d, 1, mu, delta)
+        for q in np.linspace(mu, 1.0 - mu - d, 5):
+            exact = _exact_shot_epsilon(N, float(q), d, delta)
+            assert exact <= ceiling, (N, mu, share, delta, q, exact, ceiling)
+
+
 def test_sample_complexity_values():
     assert qc.sample_complexity_estimate(0.2, 0.05, 1) == 75
     assert qc.sample_complexity_estimate(0.2, 0.05, 16) == 5
@@ -456,7 +500,8 @@ def test_calibrate_kappa_median(dataset):
 
 
 def test_calibration_mu_floor(dataset):
-    _, mu = _calibration(dataset, small_config())
+    cfg = small_config()
+    _, mu = _calibration(dataset, cfg, _base_states(dataset, cfg))
     assert 1e-3 <= mu <= 0.5
 
 
@@ -470,8 +515,7 @@ def test_config_validation(dataset):
     with pytest.raises(ValueError):
         small_config(kappa_rule="oracle")
     for field, value in (("delta_conf", 0.0), ("delta_conf", 1.5),
-                         ("theory_delta", 0.0), ("theory_delta", 1.5),
-                         ("theory_r", -1), ("theory_r", 0), ("seed", -1)):
+                         ("theory_delta", 0.0), ("theory_delta", 1.5), ("seed", -1)):
         with pytest.raises(ValueError):
             small_config(**{field: value})
 

@@ -31,6 +31,19 @@ def test_bench_imports_and_traced_names_exist(bench_modules):
     assert workloads.audit_mod.train is original
 
 
+def test_shot_ceiling_check_passes_on_a_shot_audit(bench_modules):
+    # the benchmark recomputes the finite-shot ceiling from the report's
+    # theory keys; a change that drops one of them fails here, not later as
+    # a failed correctness check in a benchmark run
+    from qcanary import (AuditConfig, ModelSpec, NoiseSpec, TrainConfig, audit,
+                         load_iris_binary)
+
+    checks = importlib.import_module("checks")
+    config = AuditConfig(n=4, K=2, d=1e-4, model=ModelSpec(qubits=4),
+                         train=TrainConfig(epochs=2), noise=NoiseSpec.measurement(400))
+    assert checks.shot_ceiling(audit(config, load_iris_binary(), workers=1)) == []
+
+
 def test_forward_check_passes_on_every_audit_workload(bench_modules):
     # the benchmark's forward check trains and reads through the public
     # calls and compares them with its own reference; a break fails here,

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from qcanary import AuditConfig, load_iris_binary, run_trial
+from qcanary import AuditConfig, load_iris_binary, run_trial, theory_epsilon_measurement
 from qcanary.cli import (CONFIG_SCHEMA, ConfigError, build_audit_config,
                          load_config, load_dataset, main, resolve_workers)
 
@@ -80,6 +80,9 @@ def test_schema_defaults_match_audit_config():
     for f in dataclasses.fields(AuditConfig):
         if f.default is not dataclasses.MISSING:
             assert CONFIG_SCHEMA[f"audit.{f.name}"][1] == f.default, f.name
+    # and every audit.* key names a field, or build_audit_config fails on it
+    fields = {f.name for f in dataclasses.fields(AuditConfig)}
+    assert {key[len("audit."):] for key in CONFIG_SCHEMA if key.startswith("audit.")} <= fields
     cfg = build_audit_config(load_config(None))
     assert cfg.kappa_rule == "reference" and cfg.estimator == "betting"
 
@@ -87,8 +90,7 @@ def test_schema_defaults_match_audit_config():
 def test_invalid_field_is_config_error():
     for key, value in (("audit.beta", 2.0), ("audit.n", 1),
                        ("audit.delta_conf", 1.5), ("audit.delta_conf", 0.0),
-                       ("audit.theory_delta", 1.5), ("audit.theory_r", -1),
-                       ("audit.theory_r", 0),
+                       ("audit.theory_delta", 1.5),
                        ("model.qubits", 0), ("train.epochs", 0), ("noise.p", 2.0),
                        ("audit.seed", -1), ("train.learning_rate", math.nan)):
         doc = load_config(None)
@@ -186,9 +188,8 @@ def test_config_error_exits_2_without_output(tmp_path):
                {"audit.statistic": "per_canary"}, {"audit.eval_encoding": "phi2"},
                {"audit.kappa_value": 0.5}, {"model.noise_placement": "input"},
                {"audit.kappa_rule": "fixed"}, {"model.encoding_axis": "RY"},
-               {"audit.delta": 0.0})
-    for extra in ({**shots, "audit.theory_delta": 1.5}, {**shots, "audit.theory_r": -1},
-                  {**shots, "audit.theory_r": 0},
+               {"audit.delta": 0.0}, {"audit.theory_r": 1})
+    for extra in ({**shots, "audit.theory_delta": 1.5},
                   {"audit.delta_conf": 1.5}, {"audit.seed": -1},
                   {"dataset.synth_seed": -1}, *removed):
         assert main(["audit", "--config", write_config(tmp_path, extra),
@@ -285,9 +286,20 @@ def test_bounds_bad_flag_values_exit_2(tmp_path):
                   ["--d", "0.1", "--delta-conf", "0"],
                   ["--d", "0.1", *shots, "--target-delta", "2"],
                   ["--d", "1e-4", "--shots", "100", "--mu", "1.5"],
-                  ["--d", "1e-4", "--shots", "100", "--mu", "nan"]):
+                  ["--d", "1e-4", "--shots", "100", "--mu", "nan"],
+                  ["--d", "0.01", *shots, "--r", "0"]):
         assert main(["bounds", *flags, "--out", out]) == 2, flags
         assert not os.path.exists(out)
+
+
+def test_bounds_shots_reports_the_finite_shot_ceiling(capsys):
+    flags = ["bounds", "--d", "1e-4", "--shots", "400", "--mu", "0.1"]
+    assert main(flags) == 0
+    eps, c = theory_epsilon_measurement(400, 1e-4, 1, 0.1, 0.01)
+    assert json.loads(capsys.readouterr().out)["measurement"] == {"epsilon": eps, "c": c}
+    # at these inputs a larger rank factor loosens the ceiling
+    assert main([*flags, "--r", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["measurement"]["epsilon"] > eps
 
 
 def test_bounds_domain_error_exits_1(capsys):
