@@ -36,15 +36,15 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from statistics import NormalDist
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily, at an audit's first draw)
 
-from .classifier import (ModelSpec, TrainConfig, _init_params, _losses, _per_qubit,
-                         _train_stack, eval_model, evaluate_losses, train)
+from .classifier import ModelSpec, TrainConfig, _init_params, _losses, _per_qubit, _train_stack
+from .classifier import evaluate_losses, train  # noqa: F401  (bench traces them as classifier.*)
 from .data import Dataset
 from .encoding import OffsetSpec, _encode_rows, sample_offsets
 from .encoding import angle_encode, angle_encode_offset  # noqa: F401  (bench traces them as encoding.encode)
@@ -615,25 +615,23 @@ def _median(values) -> float:
 def _calibration(dataset: Dataset, config: AuditConfig, base_states: np.ndarray):
     """Reference-model kappa and the smallest outcome probability.
 
-    The reference model trains on the dataset alone (base_states, the
-    _base_states block, passed to train() as rows); its median loss over
-    fresh canaries becomes the rejection threshold. The same canaries,
-    read without noise whatever regime the model trained under, provide
-    mu for the finite-shot bound, floored at MU_FLOOR.
+    The reference trains and reads as a trial's reference does, from the
+    calibration stream's initialization, on the dataset alone (the
+    _base_states block): one _train_stack call and _losses reads. Its
+    median loss over fresh canaries becomes the rejection threshold. The
+    same canaries, read without noise whatever regime the model trained
+    under, provide mu for the finite-shot bound, floored at MU_FLOOR.
     """
     rng = np.random.default_rng(_kappa_seed_seq(config))
-    init_seed = int(rng.integers(2**63))
-    tcfg = replace(config.train, seed=init_seed)
-    reference = train(base_states.T, dataset.labels, config.model, tcfg)
+    theta = _init_params(config.model, [int(rng.integers(2**63))])
+    _train_stack(base_states[None], dataset.labels[None], config.model, config.train, theta)
 
     feats, labels, offsets = _draw_canaries(_canary_fit(dataset), config,
                                             CALIBRATION_CANARIES, [rng])
-    states, labels = _encode_rows(feats[0], offsets[0]), labels[0]
+    states = np.ascontiguousarray(_encode_rows(feats[0], offsets[0]).T)[None]
 
-    losses = evaluate_losses(eval_model(reference, config.noise), states, labels, rng)
-    kappa = _median(losses)
-
-    clean = evaluate_losses(eval_model(reference, NoiseSpec.none()), states, labels)
+    kappa = _median(_losses(config.model, theta, config.noise, states, labels, [rng]))
+    clean = _losses(config.model, theta, NoiseSpec.none(), states, labels)
     probs = np.exp(-clean)  # loss = -ln(p of the labeled outcome)
     mu = float(min(np.min(probs), np.min(1.0 - probs)))
     return kappa, max(mu, MU_FLOOR)

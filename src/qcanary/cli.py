@@ -1,10 +1,11 @@
 """Command line front end: audits, closed-form bounds, coverage, comparisons.
 
 Configs are flat-key JSON documents checked against CONFIG_SCHEMA before
-any work starts; unknown keys and wrong types are rejected up front so a
-typo cannot silently fall back to a default. Command line flags override
-document keys. Reports land atomically (temp file + rename), so a failed
-run never leaves a partial file behind.
+any work starts; unknown keys, wrong types and a noise.* key set where
+noise.kind does not read it are rejected up front, so a typo cannot
+silently fall back to a default. Command line flags override document
+keys. Reports land atomically (temp file + rename), so a failed run never
+leaves a partial file behind.
 
 Exit codes: 0 success, 2 config or schema problem, 1 runtime failure.
 """
@@ -29,9 +30,6 @@ from .classifier import ModelSpec, TrainConfig
 from .data import load_csv, load_iris_binary, synth_gaussians
 from .encoding import gamma_bound, sigma_bound
 from .noise import NoiseSpec
-
-WORKERS_ENV = "QCANARY_WORKERS"
-
 
 class ConfigError(Exception):
     pass
@@ -124,14 +122,22 @@ def load_config(path: str | None) -> dict:
 
 
 def _build_noise(doc: dict) -> NoiseSpec:
+    """The config's NoiseSpec. A noise.* key that its kind does not read
+    must keep its default: compared with the default rather than checked
+    for presence, so a config re-embedded from a report still loads."""
     kind = doc["noise.kind"]
+    used = {"none": (), "depolarizing": ("noise.p", "noise.scope"),
+            "measurement_shots": ("noise.shots",)}.get(kind)
+    if used is None:
+        raise ConfigError(f"unknown noise.kind {kind!r}")
+    for key in ("noise.p", "noise.shots", "noise.scope"):
+        if key not in used and doc[key] != CONFIG_SCHEMA[key][1]:
+            raise ConfigError(f"{key} = {doc[key]!r} is unused by noise.kind {kind!r}")
     if kind == "none":
         return NoiseSpec.none()
     if kind == "depolarizing":
         return NoiseSpec.depolarizing(doc["noise.p"], scope=doc["noise.scope"])
-    if kind == "measurement_shots":
-        return NoiseSpec.measurement(doc["noise.shots"])
-    raise ConfigError(f"unknown noise.kind {kind!r}")
+    return NoiseSpec.measurement(doc["noise.shots"])
 
 
 def build_audit_config(doc: dict) -> AuditConfig:
@@ -158,38 +164,40 @@ def build_audit_config(doc: dict) -> AuditConfig:
 
 
 def load_dataset(doc: dict):
+    """The dataset the config names. A CSV file's content is a runtime
+    failure; every input of the iris and synth loaders is a config key,
+    so their ValueError is a config problem."""
     source = doc["dataset.source"]
     classes = doc["dataset.classes"]
-    if source == "iris":
-        return load_iris_binary(tuple(classes) if classes else ("setosa", "versicolor"))
     if source == "csv":
         path = doc["dataset.csv_path"]
         if path is None:
             raise ConfigError("dataset.source 'csv' needs dataset.csv_path")
         return load_csv(path, doc["dataset.label_column"],
                         keep_classes=tuple(classes) if classes else None)
-    if source == "synth":
-        if doc["dataset.synth_seed"] < 0:
-            raise ConfigError(f"dataset.synth_seed {doc['dataset.synth_seed']} "
-                              "must be nonnegative")
-        rng = np.random.default_rng(doc["dataset.synth_seed"])
-        return synth_gaussians(doc["dataset.synth_features"],
-                               doc["dataset.synth_per_class"],
-                               doc["dataset.synth_separation"], rng)
+    try:
+        if source == "iris":
+            return load_iris_binary(tuple(classes) if classes else ("setosa", "versicolor"))
+        if source == "synth":
+            if doc["dataset.synth_seed"] < 0:
+                raise ConfigError(f"dataset.synth_seed {doc['dataset.synth_seed']} "
+                                  "must be nonnegative")
+            rng = np.random.default_rng(doc["dataset.synth_seed"])
+            return synth_gaussians(doc["dataset.synth_features"],
+                                   doc["dataset.synth_per_class"],
+                                   doc["dataset.synth_separation"], rng)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     raise ConfigError(f"unknown dataset.source {source!r}")
 
 
-def resolve_workers(flag_value: int | None, doc: dict | None) -> int:
-    if flag_value is not None:
-        return max(1, flag_value)
-    if doc is not None and doc.get("run.workers") is not None:
-        return max(1, doc["run.workers"])
-    env = os.environ.get(WORKERS_ENV)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as err:
-            raise ConfigError(f"{WORKERS_ENV}={env!r} is not an integer") from err
+def resolve_workers(flag_value: int | None, doc: dict) -> int:
+    """The trial process count: --workers, else run.workers, else os.cpu_count()."""
+    for name, value in (("--workers", flag_value), ("run.workers", doc["run.workers"])):
+        if value is not None:
+            if value < 1:
+                raise ConfigError(f"{name} {value} must be at least 1")
+            return value
     return os.cpu_count() or 1
 
 
@@ -251,6 +259,9 @@ def cmd_audit(args) -> int:
     out_path = args.out if args.out is not None else doc["run.out"]
     config = build_audit_config(doc)
     dataset = load_dataset(doc)
+    if dataset.feature_count != config.model.qubits:
+        raise ConfigError(f"model.qubits is {config.model.qubits} but the dataset has "
+                          f"{dataset.feature_count} features")
     workers = resolve_workers(args.workers, doc)
 
     _log(f"audit: n={config.n} K={config.K} seed={config.seed} workers={workers}")

@@ -124,6 +124,8 @@ def synth_gaussians(m: int, per_class: int, separation: float,
     """
     if m < 1:
         raise ValueError("need at least one feature")
+    if not per_class >= 1:  # NaN fails too
+        raise ValueError(f"need at least one record per class, got {per_class}")
     lo = rng.normal(-separation / 2.0, 1.0, size=(per_class, m))
     hi = rng.normal(+separation / 2.0, 1.0, size=(per_class, m))
     raw = np.concatenate([lo, hi], axis=0)

@@ -15,7 +15,8 @@ from hypothesis.extra.numpy import arrays
 
 import qcanary as qc
 from qcanary import AuditConfig, DomainError, ModelSpec, NoiseSpec, TrainConfig
-from qcanary.audit import _base_states, _calibration, _evaluate_block, _median, _plugin_bets
+from qcanary.audit import (CALIBRATION_CANARIES, KAPPA_RULES, _base_states, _calibration,
+                           _evaluate_block, _median, _plugin_bets)
 from qcanary.encoding import _encode_rows
 
 
@@ -505,6 +506,40 @@ def test_calibration_mu_floor(dataset):
     assert 1e-3 <= mu <= 0.5
 
 
+def test_calibration_keeps_the_bits_of_the_lone_public_path(dataset):
+    # the calibration reference trained and read through the public calls,
+    # drawing from the calibration stream in order: the init seed, then the
+    # canaries and their offsets, then the shots of the noisy read.
+    # Per-qubit noise is evaluation-only, so it gets no training-noise case
+    regimes = (NoiseSpec.none(), NoiseSpec.depolarizing(0.05),
+               NoiseSpec.depolarizing(0.05, scope="per_qubit"),
+               NoiseSpec.measurement(400), NoiseSpec.measurement(50))
+    base = _encode_rows(dataset.features)
+    count, m = CALIBRATION_CANARIES, dataset.feature_count
+    cases = 0
+    for noise, rule, under_noise, seed in itertools.product(
+            regimes, KAPPA_RULES, (False, True), (0, 1, 5)):
+        if under_noise and noise.scope == "per_qubit":
+            continue
+        model = ModelSpec(qubits=3, ansatz_reps=2, noise=noise if under_noise else NoiseSpec.none())
+        cfg = small_config(model=model, noise=noise, kappa_rule=rule, seed=seed)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+        tcfg = replace(cfg.train, seed=int(rng.integers(2**63)))
+        reference = qc.train(base, dataset.labels, cfg.model, tcfg)
+        feats, labels = qc.generate_canaries(dataset, count, rng)
+        offsets = qc.sample_offsets(qc.OffsetSpec(cfg.d, cfg.delta_conf), (count, m), rng)
+        states = _encode_rows(feats, offsets)
+        losses = qc.evaluate_losses(qc.eval_model(reference, noise), states, labels, rng)
+        clean = qc.evaluate_losses(qc.eval_model(reference, NoiseSpec.none()), states, labels)
+        probs = np.exp(-clean)
+        want = (np.median(losses), max(min(probs.min(), (1.0 - probs).min()), 1e-3))
+        got = _calibration(dataset, cfg, _base_states(dataset, cfg))
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64)), \
+            (noise, rule, under_noise, seed)
+        cases += 1
+    assert cases == 54
+
+
 def test_config_validation(dataset):
     with pytest.raises(ValueError):
         small_config(d=0.0)
@@ -751,7 +786,8 @@ def test_trials_train_one_audited_model_each(dataset, monkeypatch, rule, per_tri
     monkeypatch.setattr(audit_module, "_train_stack", counting)
     cfg = small_config(n=8, kappa_rule=rule)
     qc.audit(cfg, dataset)
-    assert sum(trained) == per_trial * cfg.n
+    # the paper's rule also trains its calibration reference, through the same call
+    assert sum(trained) == per_trial * cfg.n + (rule == "calibrated_median")
 
 
 def test_pool_starts_no_more_workers_than_blocks(dataset, monkeypatch):

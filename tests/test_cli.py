@@ -103,15 +103,14 @@ def test_invalid_field_is_config_error():
         load_dataset(doc)
 
 
-def test_resolve_workers_priority(monkeypatch):
-    monkeypatch.delenv("QCANARY_WORKERS", raising=False)
+def test_resolve_workers_priority():
     assert resolve_workers(3, {"run.workers": 7}) == 3
     assert resolve_workers(None, {"run.workers": 7}) == 7
-    monkeypatch.setenv("QCANARY_WORKERS", "5")
-    assert resolve_workers(None, {"run.workers": None}) == 5
-    monkeypatch.setenv("QCANARY_WORKERS", "zebra")
-    with pytest.raises(ConfigError):
-        resolve_workers(None, {"run.workers": None})
+    assert resolve_workers(None, {"run.workers": None}) == (os.cpu_count() or 1)
+    # a count below one is refused, not raised to one
+    for flag, key in ((0, 7), (-3, None), (None, 0)):
+        with pytest.raises(ConfigError):
+            resolve_workers(flag, {"run.workers": key})
 
 
 def test_audit_command_end_to_end(tmp_path):
@@ -124,6 +123,14 @@ def test_audit_command_end_to_end(tmp_path):
     assert rep["config"]["audit.n"] == 3
     assert len(rep["trial_means"]["x"]) == 3
     assert rep["epsilon_hat"] >= 0.0
+    # no noise has no ceiling; a depolarizing p of 0 an unbounded one
+    assert main(["audit", "--config", write_config(tmp_path, {"noise.kind": "none"}),
+                 "--out", out]) == 0
+    theory = read_json(out)["theory"]
+    assert theory["kind"] == "none" and theory["epsilon"] is None
+    assert main(["audit", "--config", write_config(tmp_path, {"noise.p": 0}),
+                 "--out", out]) == 0
+    assert read_json(out)["theory"]["epsilon"] == "inf"
 
 
 def test_audit_reports_identical_modulo_timings(tmp_path):
@@ -189,15 +196,26 @@ def test_config_error_exits_2_without_output(tmp_path):
                {"audit.kappa_value": 0.5}, {"model.noise_placement": "input"},
                {"audit.kappa_rule": "fixed"}, {"model.encoding_axis": "RY"},
                {"audit.delta": 0.0}, {"audit.theory_r": 1})
+    # a dataset problem the config causes, and a noise key that noise.kind
+    # does not read, set away from its default
+    dataset = ({"model.qubits": 4}, {"dataset.synth_features": 0},
+               {"dataset.synth_per_class": 0}, {"dataset.synth_per_class": -1},
+               {"dataset.synth_separation": math.nan},
+               {"dataset.source": "iris", "dataset.classes": ["setosa", "nope"]})
+    unused = ({"noise.kind": "depolarizing", "noise.shots": 100},
+              {**shots, "noise.p": 0.3, "noise.scope": "per_qubit"},
+              {"noise.kind": "none", "noise.p": 0.3})
     for extra in ({**shots, "audit.theory_delta": 1.5},
                   {"audit.delta_conf": 1.5}, {"audit.seed": -1},
-                  {"dataset.synth_seed": -1}, *removed):
+                  {"dataset.synth_seed": -1}, *removed, *dataset, *unused,
+                  {"run.workers": 0}):
         assert main(["audit", "--config", write_config(tmp_path, extra),
-                     "--out", out]) == 2
+                     "--out", out]) == 2, extra
         assert not os.path.exists(out)
-    assert main(["audit", "--config", write_config(tmp_path), "--seed", "-1",
-                 "--out", out]) == 2
-    assert not os.path.exists(out)
+    for flags in (["--seed", "-1"], ["--workers", "0"], ["--workers", "-3"]):
+        assert main(["audit", "--config", write_config(tmp_path), *flags,
+                     "--out", out]) == 2, flags
+        assert not os.path.exists(out)
 
 
 def test_per_qubit_training_noise_exits_2_before_training(tmp_path):
@@ -287,7 +305,8 @@ def test_bounds_bad_flag_values_exit_2(tmp_path):
                   ["--d", "0.1", *shots, "--target-delta", "2"],
                   ["--d", "1e-4", "--shots", "100", "--mu", "1.5"],
                   ["--d", "1e-4", "--shots", "100", "--mu", "nan"],
-                  ["--d", "0.01", *shots, "--r", "0"]):
+                  ["--d", "0.01", *shots, "--r", "0"],
+                  ["--d", "0.1", "--shots", "100"]):
         assert main(["bounds", *flags, "--out", out]) == 2, flags
         assert not os.path.exists(out)
 
@@ -356,6 +375,9 @@ def test_compare_single_k(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["rows"]) == 1
     assert doc["rows"][0]["K"] == 4
+    assert doc["seeds"]["master"] == 0
+    assert main(["compare", "--config", str(cfg), "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["seeds"]["master"] == 3
 
 
 def test_compare_rejects_bad_k_list(tmp_path):
