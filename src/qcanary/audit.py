@@ -60,6 +60,14 @@ MU_FLOOR = 1e-3
 # Ramdas suggest c in {1/2, 3/4}; on the synthetic harness 3/4 certifies
 # much smaller rate gaps than 1/2 at n = 64 (power table in CHANGES.md)
 BET_CLIP = 0.75
+# lockstep regula falsi (Illinois) steps that bracket each betting bound's
+# crossing before its bisection path is guessed
+_ILLINOIS_STEPS = 5
+# values in one batched test of the betting bisection; a larger batch is
+# split, so its arrays and numpy's broadcast buffers stay within 32 KiB and
+# peak memory stays flat
+_TEST_ELEMENTS = 4096
+_TINY = np.finfo(float).tiny
 # consecutive trials whose models train in one stack. A larger stack
 # spreads each step's per-call overhead over more models; above 32 the gain
 # flattens, while the step's buffers and the block's arrays grow with the
@@ -225,18 +233,100 @@ def bound_upper(matrix, eta: float) -> float:
 
 
 def _plugin_bets(values: np.ndarray, eta: float) -> np.ndarray:
-    """Predictable wagers lambda_i built from values[:i] only.
+    """Predictable wagers lambda_i built from values[..., :i] only.
 
     The fixed-sample plug-in sqrt(2 ln(1/eta) / (n sigma_{i-1}^2)) of
     Waudby-Smith & Ramdas, with their regularized running mean and
-    variance (prior mean 1/2, prior variance 1/4).
+    variance (prior mean 1/2, prior variance 1/4), along the last axis.
     """
-    n = values.shape[0]
+    n = values.shape[-1]
     t = np.arange(1, n + 1)
-    mu = (0.5 + np.cumsum(values)) / (t + 1)
-    var = (0.25 + np.cumsum((values - mu) ** 2)) / (t + 1)
-    var_before = np.concatenate(([0.25], var[:-1]))
+    mu = (0.5 + np.cumsum(values, axis=-1)) / (t + 1)
+    var = (0.25 + np.cumsum((values - mu) ** 2, axis=-1)) / (t + 1)
+    var_before = np.concatenate((np.full(values.shape[:-1] + (1,), 0.25), var[..., :-1]), axis=-1)
     return np.sqrt(2.0 * math.log(1.0 / eta) / (n * var_before))
+
+
+def _max_log_capital(means: np.ndarray, bets: np.ndarray, mids: np.ndarray) -> np.ndarray:
+    """The largest log capital of a gambler betting against each candidate
+    mean in mids (r, k), on rows of means and bets (r, n), each to the bits
+    of a lone test. At m = 0 the clip BET_CLIP / tiny lies above every
+    plug-in stake, so those stakes are the plug-in ones."""
+    m = mids[:, :, None]
+    capital = np.subtract(means[:, None, :], m)
+    capital *= np.minimum(bets[:, None, :], BET_CLIP / np.maximum(m, _TINY))
+    np.log1p(capital, out=capital)
+    return np.add.accumulate(capital, axis=2, out=capital).max(axis=2)
+
+
+def _guess_crossing(a: float, fa: float, b: float, fb: float) -> float:
+    """Where the line through (a, fa) and (b, fb) crosses zero."""
+    return a - fa * (b - a) / (fb - fa) if fa != fb else a
+
+
+def _betting_lowers(means: np.ndarray, eta: float) -> list:
+    """betting_lower of each row of trial means (r, n), each to the bits of
+    its own bisection, which depend only on its decisions at its midpoints.
+
+    Each row brackets the m where its capital crosses 1/eta by lockstep
+    Illinois steps, then guesses its remaining path, and all rows' guesses
+    are tested in one batch. A row keeps its path up to its first wrong
+    guess, with that test's outcome, and guesses again; after two wrong
+    guesses it tests one midpoint per batch. So the guesses set the cost,
+    never the result: at most _ILLINOIS_STEPS batches above a lone
+    bisection's tests."""
+    n = means.shape[1]
+    bets = _plugin_bets(means, eta)
+    threshold = math.log(1.0 / eta)
+    p_hat = means.mean(axis=1)
+    ends = _max_log_capital(means, bets, np.stack((np.zeros_like(p_hat), p_hat), axis=1))
+    lowers = np.where(ends[:, 0] >= threshold, p_hat, 0.0).tolist()
+    rows = np.flatnonzero((ends[:, 0] >= threshold) & (ends[:, 1] < threshold))
+    means, bets, f = means[rows], bets[rows], (ends[rows] - threshold).tolist()
+    # per row: the bisection's lo, hi and wrong guesses, then two tests
+    # (|f|, m, f) to guess from, f being max log capital - ln(1/eta)
+    state = [[0.0, lowers[r], 0, (abs(f0), 0.0, f0), (-f1, lowers[r], f1)]
+             for r, (f0, f1) in zip(rows, f)]
+    # Illinois keeps a bracket a, f(a) >= 0 > f(b), b and halves f at an
+    # end kept twice in a row
+    illinois = [[0.0, f0, lowers[r], f1, None] for r, (f0, f1) in zip(rows, f)]
+    for _ in range(_ILLINOIS_STEPS if state else 0):
+        xs = [_guess_crossing(*il[:4]) for il in illinois]
+        fs = (_max_log_capital(means, bets, np.array(xs)[:, None]) - threshold).ravel().tolist()
+        for s, il, x, f in zip(state, illinois, xs, fs):
+            end = 0 if f >= 0.0 else 2   # the end x replaces, a or b
+            il[end:end + 2] = x, f
+            if il[4] == end:
+                il[3 - end] *= 0.5
+            il[4] = end
+            s[3:] = s[4], (abs(f), x, f)   # guess from the last two steps
+    active = range(len(state))
+    while active := [i for i in active if state[i][1] - state[i][0] > 1e-10]:
+        room = max(1, _TEST_ELEMENTS // (len(active) * n))
+        paths, guesses = [], []
+        for i in active:
+            lo, hi, wrong, (_, a, fa), (_, b, fb) = state[i]
+            guess, path = _guess_crossing(a, fa, b, fb), []
+            while hi - lo > 1e-10 and len(path) < (room if wrong < 2 else 1):
+                mid = 0.5 * (lo + hi)
+                path.append(mid)
+                lo, hi = (mid, hi) if mid < guess else (lo, mid)
+            paths.append(path)
+            guesses.append(guess)
+        k = max(map(len, paths))
+        mids = np.array([p + p[-1:] * (k - len(p)) for p in paths])
+        tested = (_max_log_capital(means[active], bets[active], mids) - threshold).tolist()
+        for i, path, guess, fs in zip(active, paths, guesses, tested):
+            s = state[i]
+            for mid, f in zip(path, fs):
+                s[f < 0.0] = mid   # lo if rejected, else hi
+                if (f >= 0.0) != (mid < guess):
+                    s[2] += 1
+                    s[3:] = sorted(s[3:] + [(abs(f), m, f) for m, f in zip(path, fs)])[:2]
+                    break
+    for r, s in zip(rows, state):
+        lowers[r] = s[0]
+    return lowers
 
 
 def betting_lower(matrix, eta: float) -> float:
@@ -248,38 +338,14 @@ def betting_lower(matrix, eta: float) -> float:
     Ville's inequality it reaches 1/eta with probability at most eta. The
     bound is the smallest m whose capital never got there. Capital falls
     as m rises, so bisection finds that point, and every m below the
-    returned value was rejected. Holds with probability at least 1 - eta
-    for i.i.d. trial rows with entries in [0, 1]; never above the sample
-    mean.
+    returned value was rejected. The bisection is batched (_betting_lowers)
+    and exact: it returns the bits of one that tests one midpoint at a time.
+    Holds with probability at least 1 - eta for i.i.d. trial rows with
+    entries in [0, 1]; never above the sample mean.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta {eta} not in (0, 1)")
-    means = _check_indicator_matrix(matrix).mean(axis=1)
-    bets = _plugin_bets(means, eta)
-    threshold = math.log(1.0 / eta)
-    # each test writes into these two buffers, in the order of
-    # max(cumsum(log1p(stake * (means - m))))
-    stakes, capital = np.empty((2, means.shape[0]))
-
-    def rejected(m: float) -> bool:
-        stake = bets if m == 0.0 else np.minimum(bets, BET_CLIP / m, out=stakes)
-        np.subtract(means, m, out=capital)
-        np.log1p(np.multiply(stake, capital, out=capital), out=capital)
-        return np.maximum.reduce(np.add.accumulate(capital, out=capital)) >= threshold
-
-    p_hat = float(means.mean())
-    if not rejected(0.0):
-        return 0.0
-    if rejected(p_hat):
-        return p_hat
-    lo, hi = 0.0, p_hat
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if rejected(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _betting_lowers(_check_indicator_matrix(matrix).mean(axis=1)[None], eta)[0]
 
 
 def betting_upper(matrix, eta: float) -> float:
@@ -333,10 +399,12 @@ def estimate_epsilon(x, y, beta: float, delta: float = 0.0,
         p1, p0 = bound_lower(x, eta), bound_upper(y, eta)
         eps = epsilon_hat(p1, p0, delta)
     else:
-        p1, p0 = betting_lower(x, eta), betting_upper(y, eta)
-        # the difference of row means lies in [-1, 1]; map it into [0, 1]
-        diff = 0.5 * (x.mean(axis=1) - y.mean(axis=1) + 1.0)
-        gap = 2.0 * betting_lower(diff, eta) - 1.0
+        # p1 from x, p0 from 1 - y, as betting_upper takes it, and the
+        # difference of row means, which lies in [-1, 1], mapped into [0, 1]
+        x_means = x.mean(axis=1)
+        means = np.stack((x_means, (1.0 - y).mean(axis=1), 0.5 * (x_means - y.mean(axis=1) + 1.0)))
+        p1, lower_not_y, lower_diff = _betting_lowers(means, eta)
+        p0, gap = 1.0 - lower_not_y, 2.0 * lower_diff - 1.0
         eps = 0.0
         if gap > delta:
             eps = math.log1p((gap - delta) / max(p0, np.finfo(float).tiny))

@@ -121,18 +121,25 @@ def load_config(path: str | None) -> dict:
     return resolved
 
 
+def _check_unused(doc: dict, selector: str, used) -> None:
+    """A key under the selector's prefix that the selected kind does not
+    read must keep its default: compared with the default rather than
+    checked for presence, so a config re-embedded from a report still loads."""
+    prefix = selector.split(".")[0] + "."
+    for key, (_, default) in CONFIG_SCHEMA.items():
+        if key.startswith(prefix) and key not in (selector, *used) and doc[key] != default:
+            raise ConfigError(f"{key} = {doc[key]!r} is unused by {selector} {doc[selector]!r}")
+
+
 def _build_noise(doc: dict) -> NoiseSpec:
-    """The config's NoiseSpec. A noise.* key that its kind does not read
-    must keep its default: compared with the default rather than checked
-    for presence, so a config re-embedded from a report still loads."""
+    """The config's NoiseSpec; a noise.* key that its kind does not read
+    must keep its default."""
     kind = doc["noise.kind"]
     used = {"none": (), "depolarizing": ("noise.p", "noise.scope"),
             "measurement_shots": ("noise.shots",)}.get(kind)
     if used is None:
         raise ConfigError(f"unknown noise.kind {kind!r}")
-    for key in ("noise.p", "noise.shots", "noise.scope"):
-        if key not in used and doc[key] != CONFIG_SCHEMA[key][1]:
-            raise ConfigError(f"{key} = {doc[key]!r} is unused by noise.kind {kind!r}")
+    _check_unused(doc, "noise.kind", used)
     if kind == "none":
         return NoiseSpec.none()
     if kind == "depolarizing":
@@ -163,11 +170,33 @@ def build_audit_config(doc: dict) -> AuditConfig:
         raise ConfigError(str(err)) from err
 
 
+# the dataset.* keys each source reads, besides dataset.source
+_DATASET_KEYS = {
+    "iris": ("dataset.classes",),
+    "csv": ("dataset.csv_path", "dataset.label_column", "dataset.classes"),
+    "synth": ("dataset.synth_features", "dataset.synth_per_class",
+              "dataset.synth_separation", "dataset.synth_seed"),
+}
+
+
 def load_dataset(doc: dict):
     """The dataset the config names. A CSV file's content is a runtime
     failure; every input of the iris and synth loaders is a config key,
-    so their ValueError is a config problem."""
+    so their ValueError is a config problem. A dataset.* key that the
+    source does not read must keep its default; like the qubit count, that
+    is checked once the data loaded, so an unreadable CSV stays a runtime
+    failure."""
     source = doc["dataset.source"]
+    if source not in _DATASET_KEYS:
+        raise ConfigError(f"unknown dataset.source {source!r}")
+    if doc["dataset.classes"] == []:
+        raise ConfigError("dataset.classes is empty: name two classes, or null for the default")
+    dataset = _read_dataset(doc, source)
+    _check_unused(doc, "dataset.source", _DATASET_KEYS[source])
+    return dataset
+
+
+def _read_dataset(doc: dict, source: str):
     classes = doc["dataset.classes"]
     if source == "csv":
         path = doc["dataset.csv_path"]
@@ -178,17 +207,15 @@ def load_dataset(doc: dict):
     try:
         if source == "iris":
             return load_iris_binary(tuple(classes) if classes else ("setosa", "versicolor"))
-        if source == "synth":
-            if doc["dataset.synth_seed"] < 0:
-                raise ConfigError(f"dataset.synth_seed {doc['dataset.synth_seed']} "
-                                  "must be nonnegative")
-            rng = np.random.default_rng(doc["dataset.synth_seed"])
-            return synth_gaussians(doc["dataset.synth_features"],
-                                   doc["dataset.synth_per_class"],
-                                   doc["dataset.synth_separation"], rng)
+        if doc["dataset.synth_seed"] < 0:
+            raise ConfigError(f"dataset.synth_seed {doc['dataset.synth_seed']} "
+                              "must be nonnegative")
+        rng = np.random.default_rng(doc["dataset.synth_seed"])
+        return synth_gaussians(doc["dataset.synth_features"],
+                               doc["dataset.synth_per_class"],
+                               doc["dataset.synth_separation"], rng)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    raise ConfigError(f"unknown dataset.source {source!r}")
 
 
 def resolve_workers(flag_value: int | None, doc: dict) -> int:

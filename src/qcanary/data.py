@@ -59,33 +59,39 @@ def load_csv(path, label_column: str, keep_classes=None) -> Dataset:
     reported with their line numbers. More than two label values is an
     error unless keep_classes narrows them down; the two kept classes map
     to labels 0 and 1 in the order given (or sorted order by default).
+    Every error message begins with the path.
     """
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if label_column not in header:
-            raise ValueError(f"{path}: no column named {label_column!r}")
-        label_idx = header.index(label_column)
-        feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+        return _parse_csv(f, label_column, keep_classes, str(path))
 
-        rows, raw_labels, bad = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                bad.append(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-                continue
-            try:
-                rows.append([float(v) for i, v in enumerate(row) if i != label_idx])
-            except ValueError:
-                bad.append(f"line {lineno}: non-numeric feature value")
-                continue
-            raw_labels.append(row[label_idx])
-        if bad:
-            raise ValueError(f"{path}: malformed rows:\n  " + "\n  ".join(bad))
-        if not rows:
-            raise ValueError(f"{path}: no data rows")
+
+def _parse_csv(f, label_column: str, keep_classes, source: str) -> Dataset:
+    """load_csv on an open file, its error messages beginning with source."""
+    reader = csv.reader(f)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{source}: empty file") from None
+    if label_column not in header:
+        raise ValueError(f"{source}: no column named {label_column!r}")
+    label_idx = header.index(label_column)
+    feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+
+    rows, raw_labels, bad = [], [], []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            bad.append(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+            continue
+        try:
+            rows.append([float(v) for i, v in enumerate(row) if i != label_idx])
+        except ValueError:
+            bad.append(f"line {lineno}: non-numeric feature value")
+            continue
+        raw_labels.append(row[label_idx])
+    if bad:
+        raise ValueError(f"{source}: malformed rows:\n  " + "\n  ".join(bad))
+    if not rows:
+        raise ValueError(f"{source}: no data rows")
 
     if keep_classes is not None:
         keep = [str(c) for c in keep_classes]
@@ -97,7 +103,7 @@ def load_csv(path, label_column: str, keep_classes=None) -> Dataset:
         classes = sorted(set(raw_labels))
     if len(set(raw_labels)) != 2 or len(classes) != 2:
         raise ValueError(
-            f"{path}: need exactly two classes, found {sorted(set(raw_labels))}; "
+            f"{source}: need exactly two classes, found {sorted(set(raw_labels))}; "
             "pass keep_classes to filter")
 
     scaled = _minmax_scale(np.asarray(rows, dtype=float))
@@ -108,9 +114,9 @@ def load_csv(path, label_column: str, keep_classes=None) -> Dataset:
 
 def load_iris_binary(classes=("setosa", "versicolor")) -> Dataset:
     """The bundled iris table filtered to two species (100 records, 4 features)."""
-    path = resources.files("qcanary").joinpath("assets/iris.csv")
-    with resources.as_file(path) as p:
-        ds = load_csv(p, "species", keep_classes=classes)
+    # its errors name the table, not where the package is installed
+    with resources.files("qcanary").joinpath("assets/iris.csv").open(newline="") as f:
+        ds = _parse_csv(f, "species", classes, "iris")
     if ds.feature_count != 4:
         raise RuntimeError("bundled iris asset is corrupt")
     return ds

@@ -15,8 +15,8 @@ from hypothesis.extra.numpy import arrays
 
 import qcanary as qc
 from qcanary import AuditConfig, DomainError, ModelSpec, NoiseSpec, TrainConfig
-from qcanary.audit import (CALIBRATION_CANARIES, KAPPA_RULES, _base_states, _calibration,
-                           _evaluate_block, _median, _plugin_bets)
+from qcanary.audit import (BET_CLIP, CALIBRATION_CANARIES, KAPPA_RULES, _base_states,
+                           _calibration, _evaluate_block, _median, _plugin_bets)
 from qcanary.encoding import _encode_rows
 
 
@@ -174,6 +174,128 @@ def test_plugin_bets_are_predictable(rng):
             changed[i:] = rng.integers(0, 2, size=n - i) if i % 2 else rng.random(n - i)
             got = _plugin_bets(changed, eta)[:i + 1]
             assert np.array_equal(got.view(np.int64), bets[:i + 1].view(np.int64)), (n, i)
+
+
+def _lone_bisection(matrix, eta):
+    """betting_lower as it was before its bisections were batched, with its
+    own plug-in wagers: one midpoint per test, each test five numpy calls
+    on one row. Returns the bound and the number of tests it made."""
+    means = np.asarray(matrix, dtype=float)
+    means = (means[:, None] if means.ndim == 1 else means).mean(axis=1)
+    n = means.shape[0]
+    t = np.arange(1, n + 1)
+    mu = (0.5 + np.cumsum(means)) / (t + 1)
+    var = (0.25 + np.cumsum((means - mu) ** 2)) / (t + 1)
+    bets = np.sqrt(2.0 * math.log(1.0 / eta) / (n * np.concatenate(([0.25], var[:-1]))))
+    threshold = math.log(1.0 / eta)
+    stakes, capital = np.empty((2, n))
+    tests = []
+
+    def rejected(m):
+        tests.append(m)
+        stake = bets if m == 0.0 else np.minimum(bets, BET_CLIP / m, out=stakes)
+        np.subtract(means, m, out=capital)
+        np.log1p(np.multiply(stake, capital, out=capital), out=capital)
+        return np.maximum.reduce(np.add.accumulate(capital, out=capital)) >= threshold
+
+    p_hat = float(means.mean())
+    if not rejected(0.0):
+        return 0.0, len(tests)
+    if rejected(p_hat):
+        return p_hat, len(tests)
+    lo, hi = 0.0, p_hat
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if rejected(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, len(tests)
+
+
+def _bisection_matrix(rng, n, K, kind):
+    if kind == "zeros":
+        return np.zeros((n, K))
+    if kind == "ones":
+        return np.ones((n, K))
+    if kind == "single":
+        m = np.zeros((n, K))
+        m[rng.integers(n), rng.integers(K)] = 1.0
+        return m
+    if kind == "sorted":
+        # rows above the mean come first, so capital can build before the
+        # rows below it: such rows are rejected at their own mean
+        return np.sort(rng.random((n, K)) < rng.uniform(0.2, 0.8), axis=0)[::-1].astype(float)
+    if kind == "fractional":
+        # row means that are not multiples of 1/K, so their sums round
+        return rng.random((n, K))
+    return (rng.random((n, K)) < rng.uniform(0.0, 1.0)).astype(float)
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+def test_batched_betting_bounds_keep_the_bits_of_a_lone_bisection(rng):
+    # every bound the batched bisection returns, alone or three to an
+    # estimate, is the one a lone bisection returns, bit for bit
+    kinds = ("random", "fractional", "zeros", "ones", "single", "sorted")
+    outcomes = set()
+    for n, K, eta, kind in itertools.product((2, 3, 8, 64, 512), (1, 4, 16),
+                                             (0.005, 0.025, 0.3), kinds * 4):
+        x = _bisection_matrix(rng, n, K, kind)
+        y = _bisection_matrix(rng, n, K, ("random", "sorted")[int(rng.integers(2))])
+        x_means, y_means = x.mean(axis=1), y.mean(axis=1)
+        lower_x = _lone_bisection(x, eta)[0]
+        upper_y = 1.0 - _lone_bisection(1.0 - y, eta)[0]
+        gap = 2.0 * _lone_bisection(0.5 * (x_means - y_means + 1.0), eta)[0] - 1.0
+        est = qc.estimate_epsilon(x, y, 2.0 * eta)
+        case = (n, K, eta, kind)
+        assert (_bits(est.p1_lower, est.p0_upper, est.gap_lower)
+                == _bits(lower_x, upper_y, gap)), case
+        assert (_bits(qc.betting_lower(x, eta), qc.betting_upper(y, eta))
+                == _bits(lower_x, upper_y)), case
+        outcomes.add("zero" if lower_x == 0.0
+                     else "mean" if lower_x == x_means.mean() else "inside")
+        rows = np.stack((x_means, y_means))
+        assert np.array_equal(_plugin_bets(rows, eta).view(np.int64),
+                              np.stack([_plugin_bets(r, eta) for r in rows]).view(np.int64))
+    # 1080 pairs, 2160 matrices, with each way out of the bisection taken
+    assert outcomes == {"zero", "mean", "inside"}
+
+
+@pytest.mark.parametrize("guess", (-1.0, 2.0))
+def test_batched_betting_bounds_keep_their_bits_when_every_guess_is_wrong(rng, monkeypatch, guess):
+    # a guess outside [0, 1] is wrong wherever the path can go the other
+    # way. Every decision still comes from a test, so the bits hold, and a
+    # row falls back to one midpoint a batch: it makes at most one batch per
+    # lone test, plus the Illinois steps, less the test of m = 0 and p_hat
+    # merged into one batch
+    audit_module = importlib.import_module("qcanary.audit")
+    calls = []
+
+    def counted(means, bets, mids):
+        calls.append(mids.shape)
+        return max_log_capital(means, bets, mids)
+
+    max_log_capital = audit_module._max_log_capital
+    monkeypatch.setattr(audit_module, "_max_log_capital", counted)
+    monkeypatch.setattr(audit_module, "_guess_crossing", lambda *bracket: guess)
+    fallbacks = 0
+    for n, K, eta in itertools.product((2, 8, 64), (1, 16), (0.005, 0.3)):
+        for kind in ("random", "random", "single", "sorted"):
+            x = _bisection_matrix(rng, n, K, kind)
+            calls.clear()
+            lower, tests = _lone_bisection(x, eta)
+            assert _bits(qc.betting_lower(x, eta)) == _bits(lower), (n, K, eta, kind)
+            assert len(calls) <= tests + audit_module._ILLINOIS_STEPS - 1, (n, K, eta, kind)
+            fallbacks += len(calls) > audit_module._ILLINOIS_STEPS + 3
+            y = _bisection_matrix(rng, n, K, "random")
+            est = qc.estimate_epsilon(x, y, 2.0 * eta)
+            upper_y = 1.0 - _lone_bisection(1.0 - y, eta)[0]
+            assert _bits(est.p1_lower, est.p0_upper) == _bits(lower, upper_y), (n, K, eta, kind)
+    # the fallback ran: some rows took more than two guessed paths
+    assert fallbacks > 0
 
 
 def test_estimate_epsilon_betting_formula():

@@ -23,6 +23,11 @@ SMALL = {
     "audit.seed": 5,
 }
 
+# SMALL on the bundled iris table, with the synth keys iris does not read
+# back at their defaults
+IRIS = {"dataset.source": "iris", "model.qubits": 4,
+        **{key: CONFIG_SCHEMA[key][1] for key in SMALL if key.startswith("dataset.synth")}}
+
 
 def write_config(tmp_path, extra=None, name="cfg.json"):
     doc = dict(SMALL)
@@ -201,7 +206,9 @@ def test_config_error_exits_2_without_output(tmp_path):
     dataset = ({"model.qubits": 4}, {"dataset.synth_features": 0},
                {"dataset.synth_per_class": 0}, {"dataset.synth_per_class": -1},
                {"dataset.synth_separation": math.nan},
-               {"dataset.source": "iris", "dataset.classes": ["setosa", "nope"]})
+               {"dataset.source": "iris", "dataset.classes": ["setosa", "nope"]},
+               {**IRIS, "dataset.synth_features": 3}, {**IRIS, "dataset.csv_path": "nofile.csv"},
+               {**IRIS, "dataset.classes": []})
     unused = ({"noise.kind": "depolarizing", "noise.shots": 100},
               {**shots, "noise.p": 0.3, "noise.scope": "per_qubit"},
               {"noise.kind": "none", "noise.p": 0.3})
@@ -216,6 +223,26 @@ def test_config_error_exits_2_without_output(tmp_path):
         assert main(["audit", "--config", write_config(tmp_path), *flags,
                      "--out", out]) == 2, flags
         assert not os.path.exists(out)
+
+
+def test_dataset_errors_name_the_file_the_user_named(tmp_path, capsys):
+    # IRIS itself loads, so only the key each case sets away from its
+    # default can make it fail
+    assert load_dataset(load_config(write_config(tmp_path, IRIS))).class_names == (
+        "setosa", "versicolor")
+    out = str(tmp_path / "never.json")
+    cfg = write_config(tmp_path, {**IRIS, "dataset.classes": ["setosa", "nope"]})
+    assert main(["audit", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config error: iris: need exactly two classes" in err, err
+    assert "assets" not in err and os.sep + "qcanary" not in err, err
+    # a CSV the user named keeps its path in the message
+    csv = tmp_path / "three.csv"
+    csv.write_text("a,species\n0.1,x\n0.5,y\n0.9,z\n")
+    cfg = write_config(tmp_path, {"dataset.source": "csv", "dataset.csv_path": str(csv)})
+    assert main(["audit", "--config", cfg, "--out", out]) == 1
+    assert f"error: {csv}: need exactly two classes" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_per_qubit_training_noise_exits_2_before_training(tmp_path):
